@@ -121,16 +121,13 @@ def inclusion_prob_enumerate(weights, params: GraphParams, node_pmf) -> np.ndarr
     return q
 
 
-def inclusion_prob_montecarlo(connect_pmf, node_pmf, n_trials: int, n_draws: int,
-                              seed: int = 23) -> np.ndarray:
-    """MC inclusion frequencies on a frozen state: fixed node PMF, fresh rows.
+def _inclusion_frequencies(connect_pmf, node_pmf, n_trials: int, n_draws: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Fraction of ``n_draws`` draws whose subset holds each model, on a frozen state.
 
-    Regenerating the whole graph each draw and following its own realized
-    node selection would bias the frequencies upward (larger subsets make
-    heavier nodes), so the node PMF is held fixed, matching the conditioning
-    under which the inclusion probabilities are defined.
+    Each draw picks a node from the fixed node PMF, then redraws that node's
+    ``n_trials`` links from its connection PMF.
     """
-    rng = stream_rng(seed, "oracle/inclusion-mc")
     connect_pmf = np.asarray(connect_pmf, dtype=float)
     j, m = connect_pmf.shape
     node_cdf = np.cumsum(node_pmf)
@@ -143,6 +140,19 @@ def inclusion_prob_montecarlo(connect_pmf, node_pmf, n_trials: int, n_draws: int
         row[np.minimum(draws, m - 1)] = True
         counts += row
     return counts / n_draws
+
+
+def inclusion_prob_montecarlo(connect_pmf, node_pmf, n_trials: int, n_draws: int,
+                              seed: int = 23) -> np.ndarray:
+    """MC inclusion frequencies on a frozen state: fixed node PMF, fresh rows.
+
+    Regenerating the whole graph each draw and following its own realized
+    node selection would bias the frequencies upward (larger subsets make
+    heavier nodes), so the node PMF is held fixed, matching the conditioning
+    under which the inclusion probabilities are defined.
+    """
+    rng = stream_rng(seed, "oracle/inclusion-mc")
+    return _inclusion_frequencies(connect_pmf, node_pmf, n_trials, n_draws, rng)
 
 
 def check_inclusion_prob(n_instances: int = 1000, seed: int = 13) -> OracleReport:
@@ -175,19 +185,9 @@ def importance_loss_montecarlo(losses, connect_pmf, node_pmf, n_trials: int,
     models outside the realized subset contribute zero that round.
     """
     rng = stream_rng(seed, "oracle/unbiased")
-    losses = np.asarray(losses, dtype=float)
-    j, m = connect_pmf.shape
     q = inclusion_probabilities(connect_pmf, node_pmf, n_trials)
-    node_cdf = np.cumsum(node_pmf)
-    total = np.zeros(m)
-    for _ in range(n_draws):
-        node = min(int(np.searchsorted(node_cdf, rng.random(), side="right")), j - 1)
-        cdf = np.cumsum(connect_pmf[node])
-        draws = np.searchsorted(cdf, rng.random(n_trials), side="right")
-        row = np.zeros(m, dtype=bool)
-        row[np.minimum(draws, m - 1)] = True
-        total += row * losses / q
-    return total / n_draws
+    freq = _inclusion_frequencies(connect_pmf, node_pmf, n_trials, n_draws, rng)
+    return freq * np.asarray(losses, dtype=float) / q
 
 
 # ----------------------------------------------------------------- pinball

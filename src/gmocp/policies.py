@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adapt import AlphaState, pinball_loss, sfogd_update, sfogd_update_err
-from .graph import FeedbackGraph, GraphParams, effective_subset, generate_graph, select_node
+from .graph import GraphParams, effective_subset, generate_graph, select_node
 from .rng import categorical, stream_rng
 from .scoring import (
     CalibrationStore,
@@ -71,13 +71,6 @@ class PolicyConfig:
         return self.target_alpha if self.alpha_init is None else self.alpha_init
 
 
-@dataclass
-class ModelState:
-    weight: float
-    alpha: AlphaState
-    calibration: CalibrationStore = field(default_factory=CalibrationStore)
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """Everything the metrics layer needs about one timestep."""
@@ -95,28 +88,32 @@ class StepRecord:
 
 
 class _BasePolicy:
-    """Shared state handling for the multi-model policies."""
+    """Per-model weights ``w``, levels ``alphas`` and score stores ``calibrations``.
+
+    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``.
+    """
 
     name = "base"
+    loss_scale = 1.0
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         self.cfg = cfg
-        self.master_seed = master_seed
         self.t = 0
-        a0 = AlphaState(alpha=cfg.alpha0, eta=cfg.eta)
-        self.models = [ModelState(weight=1.0, alpha=a0) for _ in range(cfg.n_models)]
+        m = cfg.n_models
+        self.w = [1.0] * m
+        self.alphas = [AlphaState(alpha=cfg.alpha0, eta=cfg.eta)] * m
+        self.calibrations = [CalibrationStore() for _ in range(m)]
         self._rng_u = stream_rng(master_seed, f"{self.name}/tiebreak")
         self._rng_model = stream_rng(master_seed, f"{self.name}/model")
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([s.weight for s in self.models])
+        return np.array(self.w)
 
     def _rescale_weights(self) -> None:
-        top = max(s.weight for s in self.models)
+        top = max(self.w)
         if top < WEIGHT_FLOOR:
-            for s in self.models:
-                s.weight /= top
+            self.w = [x / top for x in self.w]
 
     def _draw_u(self) -> np.ndarray:
         """Per-model tie-break uniforms (a single shared draw when configured)."""
@@ -124,14 +121,62 @@ class _BasePolicy:
             return np.full(self.cfg.n_models, self._rng_u.random())
         return self._rng_u.random(self.cfg.n_models)
 
-    def _alpha_bars(self, scores) -> tuple:
-        """alpha_bar of every model against the pre-insertion stores."""
-        return tuple(
-            optimal_alpha_bar(s.calibration, scores[m]) for m, s in enumerate(self.models)
-        )
+    def _select(self):
+        """(node, subset, inclusion probability of each subset model, chosen model)."""
+        raise NotImplementedError
 
     def step(self, probs, true_label: int):
-        raise NotImplementedError
+        cfg = self.cfg
+        start = time.perf_counter_ns()
+        self.t += 1
+        u_vec = self._draw_u()
+        node, subset, inclusion, chosen = self._select()
+
+        w, alphas, stores = self.w, self.alphas, self.calibrations
+        threshold = quantile_threshold(stores[chosen], alphas[chosen].alpha)
+        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
+        err = int(true_label not in pred)
+
+        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
+        alpha_bars = tuple(map(optimal_alpha_bar, stores, scores)) if cfg.track_alpha_bar else None
+
+        target, beta, epsilon, loss_scale = cfg.target_alpha, cfg.beta, cfg.epsilon, self.loss_scale
+        losses = {}
+        for m, q in zip(subset, inclusion):
+            state = alphas[m]
+            a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
+                stores[m], scores[m]
+            )
+            loss = pinball_loss(a_bar, state.alpha, target)
+            losses[m] = loss
+            exponent = (1.0 - beta) * (loss / q) / loss_scale
+            if beta > 0.0:
+                if m == chosen:
+                    size = pred.size
+                else:
+                    thr = quantile_threshold(stores[m], state.alpha)
+                    size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
+                exponent += beta * size
+            w[m] *= math.exp(-epsilon * exponent)
+            alphas[m] = sfogd_update(state, a_bar, target)
+
+        for store, score in zip(stores, scores):
+            store.insert(score)
+        self._rescale_weights()
+
+        record = StepRecord(
+            t=self.t,
+            chosen_model=chosen,
+            set_size=pred.size,
+            err=err,
+            node=node,
+            subset=subset,
+            chosen_loss=losses[chosen],
+            losses=losses,
+            wall_nanos=time.perf_counter_ns() - start,
+            alpha_bars=alpha_bars,
+        )
+        return pred, record
 
 
 class GMOCPPolicy(_BasePolicy):
@@ -154,13 +199,8 @@ class GMOCPPolicy(_BasePolicy):
         # mixability scale: halve the importance-weighted loss per doubling of J
         self.loss_scale = 2.0 ** math.floor(math.log2(cfg.graph.n_selective))
 
-    def step(self, probs, true_label: int):
-        cfg = self.cfg
-        start = time.perf_counter_ns()
-        self.t += 1
-        u_vec = self._draw_u()
-
-        graph = generate_graph(self.weights, cfg.graph, self._rng_graph)
+    def _select(self):
+        graph = generate_graph(self.weights, self.cfg.graph, self._rng_graph)
         node = select_node(graph, self._rng_node)
         subset = effective_subset(graph, node)
 
@@ -168,59 +208,12 @@ class GMOCPPolicy(_BasePolicy):
         if len(subset) == 1:
             chosen = subset[0]
         else:
-            sub_w = np.array([self.models[m].weight for m in subset])
-            cdf = np.cumsum(sub_w)
+            cdf = np.cumsum(np.array([self.w[m] for m in subset]))
             idx = int(np.searchsorted(cdf, draw * cdf[-1], side="right"))
             chosen = subset[min(idx, len(subset) - 1)]
+        return node, subset, [graph.inclusion_of(m) for m in subset], chosen
 
-        cm = self.models[chosen]
-        threshold = quantile_threshold(cm.calibration, cm.alpha.alpha)
-        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
-        err = int(true_label not in pred)
-
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        alpha_bars = self._alpha_bars(scores) if cfg.track_alpha_bar else None
-
-        losses = {}
-        chosen_loss = 0.0
-        for m in subset:
-            st = self.models[m]
-            a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
-                st.calibration, scores[m]
-            )
-            loss = pinball_loss(a_bar, st.alpha.alpha, cfg.target_alpha)
-            losses[m] = loss
-            if m == chosen:
-                chosen_loss = loss
-            imp = loss / graph.inclusion_of(m)
-            exponent = (1.0 - cfg.beta) * imp / self.loss_scale
-            if cfg.beta > 0.0:
-                if m == chosen:
-                    size = pred.size
-                else:
-                    thr = quantile_threshold(st.calibration, st.alpha.alpha)
-                    size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
-                exponent += cfg.beta * size
-            st.weight *= math.exp(-cfg.epsilon * exponent)
-            st.alpha = sfogd_update(st.alpha, a_bar, cfg.target_alpha)
-
-        for m, st in enumerate(self.models):
-            st.calibration.insert(scores[m])
-        self._rescale_weights()
-
-        record = StepRecord(
-            t=self.t,
-            chosen_model=chosen,
-            set_size=pred.size,
-            err=err,
-            node=node,
-            subset=subset,
-            chosen_loss=chosen_loss,
-            losses=losses,
-            wall_nanos=time.perf_counter_ns() - start,
-            alpha_bars=alpha_bars,
-        )
-        return pred, record
+    step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
 class MOCPPolicy(_BasePolicy):
@@ -228,50 +221,17 @@ class MOCPPolicy(_BasePolicy):
 
     name = "mocp"
 
-    def step(self, probs, true_label: int):
-        cfg = self.cfg
-        start = time.perf_counter_ns()
-        self.t += 1
-        u_vec = self._draw_u()
+    def __init__(self, cfg: PolicyConfig, master_seed: int):
+        # every model is in the subset with inclusion 1, and no set-size penalty
+        super().__init__(replace(cfg, beta=0.0), master_seed)
+        self._subset = tuple(range(cfg.n_models))
+        self._inclusion = (1.0,) * cfg.n_models
 
+    def _select(self):
         w = self.weights
-        chosen = categorical(self._rng_model, w / w.sum())
+        return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
-        cm = self.models[chosen]
-        threshold = quantile_threshold(cm.calibration, cm.alpha.alpha)
-        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
-        err = int(true_label not in pred)
-
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        alpha_bars = self._alpha_bars(scores) if cfg.track_alpha_bar else None
-
-        losses = {}
-        chosen_loss = 0.0
-        for m, st in enumerate(self.models):
-            a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
-                st.calibration, scores[m]
-            )
-            loss = pinball_loss(a_bar, st.alpha.alpha, cfg.target_alpha)
-            losses[m] = loss
-            if m == chosen:
-                chosen_loss = loss
-            st.weight *= math.exp(-cfg.epsilon * loss)
-            st.alpha = sfogd_update(st.alpha, a_bar, cfg.target_alpha)
-            st.calibration.insert(scores[m])
-        self._rescale_weights()
-
-        record = StepRecord(
-            t=self.t,
-            chosen_model=chosen,
-            set_size=pred.size,
-            err=err,
-            subset=tuple(range(cfg.n_models)),
-            chosen_loss=chosen_loss,
-            losses=losses,
-            wall_nanos=time.perf_counter_ns() - start,
-            alpha_bars=alpha_bars,
-        )
-        return pred, record
+    step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
 def vote_set(membership: np.ndarray, weights_norm: np.ndarray, vote_u: float) -> frozenset:
@@ -302,19 +262,20 @@ class COMAPolicy(_BasePolicy):
 
         k = cfg.score.n_labels
         membership = np.zeros((cfg.n_models, k), dtype=bool)
-        for m, st in enumerate(self.models):
-            thr = quantile_threshold(st.calibration, self.alpha.alpha)
+        for m, store in enumerate(self.calibrations):
+            thr = quantile_threshold(store, self.alpha.alpha)
             membership[m] = all_label_scores(probs[m], u_vec[m], cfg.score) <= thr
 
-        w = self.weights
-        labels = vote_set(membership, w / w.sum(), vote_u)
+        weights = self.weights
+        labels = vote_set(membership, weights / weights.sum(), vote_u)
         pred = PredictionSet(labels, float("nan"))
         err = int(true_label not in pred)
 
         scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        for m, st in enumerate(self.models):
-            st.weight *= math.exp(-cfg.coma_gamma * int(membership[m].sum()))
-            st.calibration.insert(scores[m])
+        w = self.w
+        for m, store in enumerate(self.calibrations):
+            w[m] *= math.exp(-cfg.coma_gamma * int(membership[m].sum()))
+            store.insert(scores[m])
         self._rescale_weights()
         self.alpha = sfogd_update_err(self.alpha, err, cfg.target_alpha)
 
@@ -365,29 +326,17 @@ class ACIPolicy:
         return pred, record
 
 
-POLICY_NAMES = ("gmocp", "egmocp", "mocp", "coma", "aci")
+POLICIES = {"gmocp": GMOCPPolicy, "egmocp": GMOCPPolicy, "mocp": MOCPPolicy,
+            "coma": COMAPolicy, "aci": ACIPolicy}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name: str, cfg: PolicyConfig, master_seed: int):
     """Instantiate a policy by CLI name. ``egmocp`` is GMOCP with beta > 0."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     if name == "gmocp":
-        if cfg.beta != 0.0:
-            cfg = _replace_beta(cfg, 0.0)
-        return GMOCPPolicy(cfg, master_seed)
-    if name == "egmocp":
-        if cfg.beta == 0.0:
-            raise ValueError("egmocp requires beta > 0")
-        return GMOCPPolicy(cfg, master_seed)
-    if name == "mocp":
-        return MOCPPolicy(cfg, master_seed)
-    if name == "coma":
-        return COMAPolicy(cfg, master_seed)
-    if name == "aci":
-        return ACIPolicy(cfg, master_seed)
-    raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
-
-
-def _replace_beta(cfg: PolicyConfig, beta: float) -> PolicyConfig:
-    from dataclasses import replace
-
-    return replace(cfg, beta=beta)
+        cfg = replace(cfg, beta=0.0)
+    elif name == "egmocp" and cfg.beta == 0.0:
+        raise ValueError("egmocp requires beta > 0")
+    return POLICIES[name](cfg, master_seed)

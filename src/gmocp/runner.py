@@ -3,14 +3,15 @@
 A run is a pure function of the config contents: per-step wall time is
 measured internally but the runtime column is written as 0.0 unless timing
 is requested, so repeated runs produce byte-identical files. Rows are
-flushed per seed; with ``resume`` enabled, completed (config, seed) pairs
-found in an existing results file are skipped.
+flushed per seed and carry their ``config_id``; with ``resume`` enabled,
+(config_id, seed) pairs found in an existing results file are skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -23,10 +24,9 @@ from .policies import POLICY_NAMES, PolicyConfig, make_policy
 from .scoring import ScoreParams
 from .streams import ModelProfile, StreamConfig, generate_stream, load_stream
 
-RESULT_FIELDS = ("policy", "N", "J", "seed", "coverage", "avg_width",
-                 "single_width", "runtime", "width_under_k")
-
 SUMMARY_METRICS = ("coverage", "avg_width", "single_width", "runtime", "width_under_k")
+
+RESULT_FIELDS = ("policy", "N", "J", "seed") + SUMMARY_METRICS + ("config_id",)
 
 # default mixed-quality model pool: mostly strong with a medium and a weak model
 DEFAULT_PROFILES = ("high",) * 6 + ("medium", "low")
@@ -43,11 +43,11 @@ class ResultRow:
     single_width: float
     runtime: float
     width_under_k: float
+    config_id: str
 
     def as_list(self):
-        return [self.policy, self.N, self.J, self.seed,
-                repr(self.coverage), repr(self.avg_width), repr(self.single_width),
-                repr(self.runtime), repr(self.width_under_k)]
+        """Values in ``RESULT_FIELDS`` order; csv writes floats by ``repr``."""
+        return [getattr(self, name) for name in RESULT_FIELDS]
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,25 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None)
     """Run one policy over one stream realization; returns (row, records).
 
     ``steps`` can supply a pre-generated stream (e.g. shared across policies);
-    otherwise the stream is produced from the config.
+    otherwise the stream is produced from the config. The first step's model
+    and label counts are checked against the config.
     """
     policy = make_policy(cfg.policy, cfg.policy_params, seed)
-    if steps is not None:
-        pass
-    elif cfg.stream_path is not None:
+    if steps is None and cfg.stream_path is not None:
         steps = load_stream(cfg.stream_path)
-    else:
+    elif steps is None:
         steps = generate_stream(cfg.stream, master_seed=seed)
+    steps = iter(steps)
+    first = next(steps, None)
+    if first is not None:
+        m, k = len(first.probs), len(first.probs[0])
+        # ACI predicts from the stream's first model, whatever the stream's M
+        want = (m if cfg.policy == "aci" else cfg.policy_params.n_models,
+                cfg.policy_params.score.n_labels)
+        if (m, k) != want:
+            raise ValueError(f"stream has M={m} models and K={k} labels, but config "
+                             f"{cfg.config_id()} expects M={want[0]} and K={want[1]}")
+        steps = itertools.chain((first,), steps)
     records = []
     for step in steps:
         _, rec = policy.step(step.probs, step.true_label)
@@ -220,20 +230,9 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None)
         policy=cfg.policy, N=cfg.n_links, J=cfg.n_selective, seed=seed,
         coverage=metrics.coverage, avg_width=metrics.avg_width,
         single_width=metrics.single_width, runtime=runtime,
-        width_under_k=metrics.width_under_k,
+        width_under_k=metrics.width_under_k, config_id=cfg.config_id(),
     )
     return row, records
-
-
-def _completed_seeds(csv_path: str, policy: str, n: int, j: int) -> set:
-    done = set()
-    if not os.path.exists(csv_path):
-        return done
-    with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["policy"] == policy and int(row["N"]) == n and int(row["J"]) == j:
-                done.add(int(row["seed"]))
-    return done
 
 
 def _write_trace(path: str, records, timing: bool) -> None:
@@ -250,41 +249,55 @@ def _write_trace(path: str, records, timing: bool) -> None:
             writer.writerow(row)
 
 
+def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):
+    """Run every seed of every config into the first config's output files.
+
+    Returns the rows run now, and each config's rows in the CSV by config id.
+    """
+    output = cfgs[0].output
+    csv_path = output + ".csv"
+    resuming = resume and os.path.exists(csv_path)
+    done = {(r.config_id, r.seed) for r in read_rows(csv_path)} if resuming else set()
+    ids = [cfg.config_id() for cfg in cfgs]
+    rows = []
+    with open(csv_path, "a" if resuming else "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if not resuming:
+            writer.writerow(RESULT_FIELDS)
+        for cfg, config_id in zip(cfgs, ids):
+            for seed in cfg.seeds:
+                if (config_id, seed) in done:
+                    continue
+                row, records = run_seed(cfg, seed, timing=timing)
+                rows.append(row)
+                writer.writerow(row.as_list())
+                fh.flush()
+                if trace:
+                    _write_trace(f"{output}_trace_seed{seed}.csv", records, timing)
+    all_rows = read_rows(csv_path)
+    by_id = {config_id: [r for r in all_rows if r.config_id == config_id] for config_id in ids}
+    write_summary(output + "_summary.json", by_id)
+    return rows, by_id
+
+
 def run_experiment(cfg: ExperimentConfig, resume: bool = False, timing: bool = False,
                    trace: bool = False) -> list:
-    """Run every seed, flushing one CSV row per completed seed."""
-    csv_path = cfg.output + ".csv"
-    done = _completed_seeds(csv_path, cfg.policy, cfg.n_links, cfg.n_selective) if resume else set()
-    fresh = not (resume and os.path.exists(csv_path))
-    rows = []
-    with open(csv_path, "w" if fresh else "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(RESULT_FIELDS)
-        for seed in cfg.seeds:
-            if seed in done:
-                continue
-            row, records = run_seed(cfg, seed, timing=timing)
-            rows.append(row)
-            writer.writerow(row.as_list())
-            fh.flush()
-            if trace:
-                _write_trace(f"{cfg.output}_trace_seed{seed}.csv", records, timing)
-    write_summary(cfg.output + "_summary.json", {cfg.config_id(): read_rows(csv_path)})
-    return rows
+    """Run every seed, flushing one CSV row per completed seed; returns the new rows."""
+    return _run_configs([cfg], resume, timing, trace)[0]
 
 
 def read_rows(csv_path: str) -> list:
+    """Rows of a results CSV; a header other than ``RESULT_FIELDS`` is an error."""
     with open(csv_path, newline="") as fh:
-        return [
-            ResultRow(
-                policy=r["policy"], N=int(r["N"]), J=int(r["J"]), seed=int(r["seed"]),
-                coverage=float(r["coverage"]), avg_width=float(r["avg_width"]),
-                single_width=float(r["single_width"]), runtime=float(r["runtime"]),
-                width_under_k=float(r["width_under_k"]),
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != RESULT_FIELDS:
+            raise ValueError(
+                f"{csv_path}: header {reader.fieldnames} is not {list(RESULT_FIELDS)}; "
+                "a results file from another version cannot be read or resumed"
             )
-            for r in csv.DictReader(fh)
-        ]
+        return [ResultRow(r["policy"], int(r["N"]), int(r["J"]), int(r["seed"]),
+                          *(float(r[name]) for name in SUMMARY_METRICS), r["config_id"])
+                for r in reader]
 
 
 def write_summary(path: str, grouped: dict) -> None:
@@ -303,39 +316,17 @@ def write_summary(path: str, grouped: dict) -> None:
 
 def run_sweep(cfg: ExperimentConfig, n_values, j_values, resume: bool = False,
               timing: bool = False) -> dict:
-    """Cross product over graph sizes; one combined CSV plus summary JSON."""
+    """Cross product over graph sizes; one combined CSV plus summary JSON.
+
+    Returns each config's rows in the CSV, by config id.
+    """
     if cfg.policy_params.graph is None:
         raise ValueError("sweep requires a graph-based policy (gmocp or egmocp)")
-    csv_path = cfg.output + ".csv"
-    grouped = {}
-    fresh = not (resume and os.path.exists(csv_path))
-    with open(csv_path, "w" if fresh else "a", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
-            writer.writerow(RESULT_FIELDS)
-        for n in n_values:
-            for j in j_values:
-                graph = GraphParams.uniform(j, n, cfg.policy_params.graph.eta_e[0])
-                sub = replace(
-                    cfg, policy_params=replace(cfg.policy_params, graph=graph)
-                )
-                done = _completed_seeds(csv_path, sub.policy, n, j) if resume else set()
-                rows = []
-                for seed in sub.seeds:
-                    if seed in done:
-                        rows.append(None)
-                        continue
-                    row, _ = run_seed(sub, seed, timing=timing)
-                    rows.append(row)
-                    writer.writerow(row.as_list())
-                    fh.flush()
-                grouped[sub.config_id()] = (sub, rows)
-    all_rows = read_rows(csv_path)
-    by_id = {}
-    for config_id, (sub, _) in grouped.items():
-        by_id[config_id] = [
-            r for r in all_rows
-            if (r.policy, r.N, r.J) == (sub.policy, sub.n_links, sub.n_selective)
-        ]
-    write_summary(cfg.output + "_summary.json", by_id)
-    return by_id
+    eta_e = cfg.policy_params.graph.eta_e[0]
+    grid = [
+        replace(cfg, policy_params=replace(cfg.policy_params,
+                                           graph=GraphParams.uniform(j, n, eta_e)))
+        for n in n_values
+        for j in j_values
+    ]
+    return _run_configs(grid, resume, timing, trace=False)[1]

@@ -169,6 +169,10 @@ def load_stream(path):
                 p = np.array([float(x) for x in row[4:]], dtype=float)
             except ValueError as exc:
                 raise StreamFormatError(f"line {lineno}: {exc}") from exc
+            if lineno == 2 and t != 1:
+                raise StreamFormatError(f"line 2: stream starts at t={t}, expected t=1")
+            if not 0 <= y < n_labels:
+                raise StreamFormatError(f"line {lineno}: true_label {y} outside [0, {n_labels})")
             if not 0 <= sev <= MAX_SEVERITY:
                 raise StreamFormatError(f"line {lineno}: severity {sev} out of range")
             try:

@@ -210,10 +210,10 @@ def test_criterion_10_lemma5_dominance(capsys):
             lens = np.array([
                 prediction_set_size(
                     step.probs[m],
-                    quantile_threshold(st.calibration, st.alpha.alpha),
+                    quantile_threshold(policy.calibrations[m], policy.alphas[m].alpha),
                     0.5, score,
                 )
-                for m, st in enumerate(policy.models)
+                for m in range(cfg.n_models)
             ], dtype=float)
             pmf = connection_pmf(w, eta_e)
             bound = float(pmf @ lens)

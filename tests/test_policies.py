@@ -78,8 +78,8 @@ def test_gmocp_trace_matches_reference(beta):
         assert rec.set_size == expect["set_size"]
         assert pred.labels == expect["labels"]
         assert rec.err == expect["err"]
-        got_w = [s.weight for s in policy.models]
-        got_a = [s.alpha.alpha for s in policy.models]
+        got_w = list(policy.w)
+        got_a = [a.alpha for a in policy.alphas]
         assert got_w == pytest.approx(expect["weights"], rel=1e-9)
         assert got_a == pytest.approx(expect["alphas"], rel=1e-9)
 
@@ -112,11 +112,11 @@ def test_gmocp_reduces_to_single_model_loop():
         _, rec = policy.step(s.probs, s.true_label)
         assert (rec.set_size, rec.err, rec.chosen_model) == (pred.size, err, 0)
         errs.append(err)
-    assert policy.models[0].alpha.alpha == pytest.approx(state.alpha, rel=1e-12)
+    assert policy.alphas[0].alpha == pytest.approx(state.alpha, rel=1e-12)
     # easy stationary stream: the error rate settles near the target and the
     # adaptive level stays inside the guaranteed range
     assert np.mean(errs) <= 0.15
-    assert -0.05 - 1e-9 <= policy.models[0].alpha.alpha <= 1.05 + 1e-9
+    assert -0.05 - 1e-9 <= policy.alphas[0].alpha <= 1.05 + 1e-9
 
 
 # --------------------------------------------------------- update algebra
@@ -127,13 +127,13 @@ def test_zero_losses_leave_weights_unchanged():
     cfg = policy_config(2, 20, graph=GraphParams.uniform(1, 2, 1.0),
                         alpha_init=1.0 - 9 / 10)
     policy = GMOCPPolicy(cfg, 11)
-    for st in policy.models:
+    for m in range(2):
         # 9 stored scores all below the incoming one: alpha_bar = 1 - 9/10 = alpha
-        st.calibration = CalibrationStore([-1.0] * 9)
+        policy.calibrations[m] = CalibrationStore([-1.0] * 9)
     probs = np.full((2, 20), 0.05)
     _, rec = policy.step(probs, 0)
     assert all(loss == 0.0 for loss in rec.losses.values())
-    assert all(st.weight == 1.0 for st in policy.models)
+    assert all(w == 1.0 for w in policy.w)
 
 
 def test_egmocp_weight_ratio_len_penalty():
@@ -149,8 +149,8 @@ def test_egmocp_weight_ratio_len_penalty():
     policy = GMOCPPolicy(cfg, master_seed=0)
     # both models: alpha_bar = 1 and identical pinball losses; model 0 yields a
     # singleton set, model 1 includes all 20 labels at its threshold
-    policy.models[0].calibration = CalibrationStore([0.6] * 19)
-    policy.models[1].calibration = CalibrationStore([0.06] * 19)
+    policy.calibrations[0] = CalibrationStore([0.6] * 19)
+    policy.calibrations[1] = CalibrationStore([0.06] * 19)
     probs = np.array([[1.0] + [0.0] * 19, [0.05] * 20])
 
     pred, rec = policy.step(probs, 0)
@@ -176,7 +176,7 @@ def test_gmocp_equals_egmocp_at_beta_zero():
         assert (r1.subset, r1.chosen_model, r1.set_size, r1.err) == (
             r2.subset, r2.chosen_model, r2.set_size, r2.err
         )
-    assert [a.weight for a in p1.models] == [b.weight for b in p2.models]
+    assert p1.w == p2.w
 
 
 def test_egmocp_strong_weak_weight_separation():
@@ -227,11 +227,11 @@ def test_gmocp_subset_invariants_and_determinism():
 def test_weight_rescale_on_underflow():
     cfg = policy_config(2, 4, graph=GraphParams.uniform(1, 2, 1.0))
     policy = GMOCPPolicy(cfg, 17)
-    policy.models[0].weight = 1e-310
-    policy.models[1].weight = 1e-320
+    policy.w[0] = 1e-310
+    policy.w[1] = 1e-320
     policy._rescale_weights()
-    assert policy.models[0].weight == 1.0
-    assert policy.models[1].weight == pytest.approx(1e-10, rel=1e-6)
+    assert policy.w[0] == 1.0
+    assert policy.w[1] == pytest.approx(1e-10, rel=1e-6)
 
 
 def test_shared_u_flag():
@@ -267,7 +267,7 @@ def test_mocp_single_model_matches_hand_loop():
         assert rec.chosen_model == 0
         assert rec.set_size == pred.size
         assert rec.err == int(s.true_label not in pred)
-    assert policy.models[0].alpha.alpha == pytest.approx(state.alpha, rel=1e-12)
+    assert policy.alphas[0].alpha == pytest.approx(state.alpha, rel=1e-12)
 
 
 def test_mocp_symmetry_equal_losses():
@@ -278,8 +278,8 @@ def test_mocp_symmetry_equal_losses():
     for s in steps:
         probs = (s.probs[0], s.probs[0])
         policy.step(probs, s.true_label)
-        assert policy.models[0].weight == policy.models[1].weight
-        assert policy.models[0].alpha.alpha == policy.models[1].alpha.alpha
+        assert policy.w[0] == policy.w[1]
+        assert policy.alphas[0].alpha == policy.alphas[1].alpha
 
 
 # -------------------------------------------------------------------- COMA

@@ -16,6 +16,7 @@ from gmocp.runner import (
     run_seed,
     run_sweep,
 )
+from gmocp.streams import ModelProfile, StreamConfig, generate_stream
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -135,6 +136,54 @@ def test_resume_skips_completed(tmp_path):
     rerun = run_experiment(cfg, resume=True)
     assert [r.seed for r in rerun] == [2]
     assert len(read_rows(str(csv_path))) == 2
+
+
+def test_resume_keys_rows_by_config(tmp_path):
+    """Resume on another config's results runs every seed and summarizes only its rows."""
+    def egmocp(beta, seeds):
+        doc = tiny_doc(policy="egmocp", policy_params={"N": 2, "J": 1, "beta": beta},
+                       seeds=seeds)
+        return parse_config(doc, base_dir=str(tmp_path))
+
+    first, second = egmocp(0.05, [0, 1]), egmocp(0.5, [0, 1, 2])
+    run_experiment(first)
+    rerun = run_experiment(second, resume=True)
+    assert [r.seed for r in rerun] == [0, 1, 2]
+    rows = read_rows(str(tmp_path / "results.csv"))
+    assert [(r.config_id, r.seed) for r in rows] == (
+        [(first.config_id(), s) for s in (0, 1)] + [(second.config_id(), s) for s in (0, 1, 2)]
+    )
+    summary = json.loads((tmp_path / "results_summary.json").read_text())
+    assert list(summary) == [second.config_id()]
+    assert summary[second.config_id()]["coverage"]["mean"] == pytest.approx(
+        np.mean([r.coverage for r in rerun]))
+
+
+def test_resume_rejects_results_without_config_id(tmp_path):
+    cfg = parse_config(tiny_doc(), base_dir=str(tmp_path))
+    csv_path = tmp_path / "results.csv"
+    old = ("policy,N,J,seed,coverage,avg_width,single_width,runtime,width_under_k\n"
+           "gmocp,2,1,1,90.0,1.5,50.0,0.0,90.0\n")
+    csv_path.write_text(old)
+    with pytest.raises(ValueError, match="results.csv"):
+        run_experiment(cfg, resume=True)
+    assert csv_path.read_text() == old
+
+
+@pytest.mark.parametrize("n_models, n_labels", [(2, 4), (3, 6)])
+def test_run_seed_rejects_stream_shape_mismatch(n_models, n_labels):
+    cfg = parse_config(tiny_doc())  # two models, six labels
+    stream = StreamConfig(model_profiles=(ModelProfile("high"),) * n_models,
+                          n_labels=n_labels, horizon=5)
+    steps = list(generate_stream(stream, master_seed=1))
+    with pytest.raises(ValueError, match=f"M={n_models} models and K={n_labels} labels"):
+        run_seed(cfg, 1, steps=steps)
+
+
+def test_run_seed_aci_reads_first_model_of_a_wider_stream():
+    cfg = parse_config(tiny_doc(policy="aci"))  # a single-model policy on two models
+    _, records = run_seed(cfg, 1)
+    assert len(records) == 100
 
 
 def test_trace_output(tmp_path):

@@ -188,3 +188,22 @@ def test_load_rejects_non_numeric(tmp_path):
                [[1, 0, 0, 0, "x", 0.5]])
     with pytest.raises(StreamFormatError):
         list(load_stream(path))
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_load_rejects_label_out_of_range(tmp_path, label):
+    # a label of -1 would otherwise score the last label through probs[:, -1]
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, label, 0, 0, 0.5, 0.5]])
+    with pytest.raises(StreamFormatError, match="true_label"):
+        list(load_stream(path))
+
+
+def test_load_rejects_stream_not_starting_at_one(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[5, 0, 0, 0, 0.5, 0.5],
+                [6, 1, 0, 0, 0.5, 0.5]])
+    with pytest.raises(StreamFormatError, match="t=5"):
+        list(load_stream(path))
