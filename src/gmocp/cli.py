@@ -7,7 +7,7 @@ import json
 import sys
 
 from .oracles import ORACLES, run_oracle
-from .runner import load_config, parse_stream_config, run_experiment, run_sweep
+from .runner import TOP_KEYS, load_config, parse_stream_config, run_experiment, run_sweep
 from .streams import generate_stream, save_stream
 
 
@@ -76,7 +76,12 @@ def main(argv=None) -> int:
     if args.command == "gen-stream":
         with open(args.config) as fh:
             doc = json.load(fh)
-        stream_cfg = parse_stream_config(doc.get("stream", doc))
+        # an experiment config, or a bare stream document
+        is_experiment = isinstance(doc, dict) and doc.keys() & TOP_KEYS
+        stream_cfg = load_config(args.config).stream if is_experiment else parse_stream_config(doc)
+        if stream_cfg is None:
+            print("gen-stream needs a synthetic stream, not a stream file", file=sys.stderr)
+            return 2
         save_stream(generate_stream(stream_cfg, master_seed=args.seed),
                     stream_cfg.n_labels, args.out)
         print(f"wrote {stream_cfg.horizon} steps to {args.out}")

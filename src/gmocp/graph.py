@@ -47,16 +47,6 @@ class FeedbackGraph:
     node_weights: np.ndarray  # (J,)
     node_pmf: np.ndarray  # (J,)
     n_trials: int
-    _inclusion: np.ndarray = None
-
-    @property
-    def inclusion_prob(self) -> np.ndarray:
-        """Per-model subset-inclusion probabilities, computed on first use."""
-        if self._inclusion is None:
-            self._inclusion = inclusion_probabilities(
-                self.connect_pmf, self.node_pmf, self.n_trials
-            )
-        return self._inclusion
 
     def inclusion_of(self, m: int) -> float:
         """Inclusion probability of a single model without the full (J, M) pass."""

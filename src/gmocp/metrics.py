@@ -24,13 +24,11 @@ class RunMetrics:
     n_steps: int
 
 
-def compute_metrics(records, window: int = 100, width_cap: int = 40,
-                    overlapping: bool = False) -> RunMetrics:
+def compute_metrics(records, window: int = 100, width_cap: int = 40) -> RunMetrics:
     """Aggregate per-step records into run metrics.
 
-    Local coverage uses consecutive non-overlapping windows by default; the
-    overlapping variant slides the window one step at a time. Either way a
-    window must be complete to count.
+    Local coverage uses consecutive non-overlapping windows; a window must be
+    complete to count.
     """
     if not records:
         raise ValueError("no records to aggregate")
@@ -39,10 +37,7 @@ def compute_metrics(records, window: int = 100, width_cap: int = 40,
     covered = 1.0 - err
     n = len(records)
 
-    if overlapping:
-        starts = range(0, n - window + 1)
-    else:
-        starts = range(0, n - window + 1, window)
+    starts = range(0, n - window + 1, window)
     local = tuple(float(covered[s:s + window].mean()) for s in starts)
 
     return RunMetrics(

@@ -38,8 +38,6 @@ from .scoring import (
     quantile_threshold,
 )
 
-WEIGHT_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -111,9 +109,13 @@ class _BasePolicy:
         return np.array(self.w)
 
     def _rescale_weights(self) -> None:
-        top = max(self.w)
-        if top < WEIGHT_FLOOR:
-            self.w = [x / top for x in self.w]
+        """Scale the weights by the power of two that puts the largest in [1, 2).
+
+        Exact, so no normalized weight, selection CDF or node PMF changes.
+        """
+        shift = 1 - math.frexp(max(self.w))[1]
+        if shift:
+            self.w = [math.ldexp(x, shift) for x in self.w]
 
     def _draw_u(self) -> np.ndarray:
         """Per-model tie-break uniforms (a single shared draw when configured)."""

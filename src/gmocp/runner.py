@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,14 +22,12 @@ from .graph import GraphParams
 from .metrics import compute_metrics
 from .policies import POLICY_NAMES, PolicyConfig, make_policy
 from .scoring import ScoreParams
+from .streams import DEFAULT_PROFILES  # noqa: F401  (re-exported)
 from .streams import ModelProfile, StreamConfig, generate_stream, load_stream
 
 SUMMARY_METRICS = ("coverage", "avg_width", "single_width", "runtime", "width_under_k")
 
 RESULT_FIELDS = ("policy", "N", "J", "seed") + SUMMARY_METRICS + ("config_id",)
-
-# default mixed-quality model pool: mostly strong with a medium and a weak model
-DEFAULT_PROFILES = ("high",) * 6 + ("medium", "low")
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,14 @@ class ResultRow:
         return [getattr(self, name) for name in RESULT_FIELDS]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    policy: str
+    policy: str = "gmocp"
     policy_params: PolicyConfig
-    stream: StreamConfig | None
-    stream_path: str | None
-    seeds: tuple
-    output: str
+    stream: StreamConfig | None = None
+    stream_path: str | None = None
+    seeds: tuple = (0,)
+    output: str = "results"
     width_cap: int = 40
 
     def __post_init__(self):
@@ -79,116 +77,93 @@ class ExperimentConfig:
         return g.n_selective if g is not None else 0
 
     def config_id(self) -> str:
-        payload = json.dumps(
-            {
-                "policy": self.policy,
-                "params": _policy_params_dict(self.policy_params),
-                "stream": _stream_dict(self.stream) if self.stream else self.stream_path,
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:8]
+        """Policy, N, J and a hash of every field that can change a result."""
+        doc = asdict(self)
+        del doc["seeds"], doc["output"], doc["policy_params"]["track_alpha_bar"]
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:8]
         return f"{self.policy}-N{self.n_links}-J{self.n_selective}-{digest}"
 
 
-def _policy_params_dict(p: PolicyConfig) -> dict:
-    d = {
-        "n_models": p.n_models, "target_alpha": p.target_alpha, "eta": p.eta,
-        "epsilon": p.epsilon, "beta": p.beta, "coma_gamma": p.coma_gamma,
-        "aci_lr": p.aci_lr, "alpha_init": p.alpha_init, "shared_u": p.shared_u,
-        "xi": p.score.xi, "k_reg": p.score.k_reg, "n_labels": p.score.n_labels,
-    }
-    if p.graph is not None:
-        d["N"] = p.graph.max_links
-        d["J"] = p.graph.n_selective
-        d["eta_e"] = list(p.graph.eta_e)
-    return d
+# JSON type of each base kind; a field's kind is its annotation or a name given below
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "None": type(None),
+               "object": dict, "list": list}
 
 
-def _stream_dict(s: StreamConfig) -> dict:
-    return {
-        "profiles": [[m.quality, m.noise_scale, m.temperature] for m in s.model_profiles],
-        "n_labels": s.n_labels, "horizon": s.horizon,
-        "batch_size": s.batch_size, "schedule": s.schedule,
-    }
+def _value(name: str, kind: str, value):
+    """``value`` converted to ``kind`` ("a or b", "a | b", "list of a"); other types are an error."""
+    for alt in kind.replace(" | ", " or ").split(" or "):
+        if alt.startswith("list of ") and isinstance(value, list):
+            return tuple(_value(f"{name}[{i}]", alt[8:], v) for i, v in enumerate(value))
+        if isinstance(value, _JSON_TYPES.get(alt, ())) and isinstance(value, bool) == (alt == "bool"):
+            return float(value) if alt == "float" else value
+    raise ValueError(f"config key {name!r} must be {kind}, got {value!r}")
 
 
-def _parse_profiles(raw) -> tuple:
-    profiles = []
-    for item in raw:
-        if isinstance(item, str):
-            profiles.append(ModelProfile(item))
-        else:
-            profiles.append(ModelProfile(**item))
-    return tuple(profiles)
+def _keys(cls, **kinds) -> dict:
+    """Config keys of ``cls``: each field's annotation, replaced or (by None) dropped by ``kinds``."""
+    keys = {f.name: f.type for f in fields(cls)} | kinds
+    return {key: kind for key, kind in keys.items() if kind is not None}
+
+
+TOP_KEYS = _keys(ExperimentConfig, policy_params="object", stream="object", stream_path=None,
+                 seeds="list of int")
+POLICY_KEYS = _keys(PolicyConfig, n_models=None, score=None, graph=None, xi="float", k_reg="int",
+                    N="int", J="int", eta_e="float or list of float")
+STREAM_KEYS = _keys(StreamConfig, model_profiles=None, profiles="list")
+PROFILE_KEYS = _keys(ModelProfile)
+
+
+def _settings(doc, where: str, keys: dict) -> dict:
+    """The settings ``doc`` makes, converted; an unknown key or a wrong JSON type is an error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {where or 'document'} must be a JSON object, got {doc!r}")
+    prefix = where + "." if where else ""
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown config key {prefix + key!r}; expected one of {sorted(keys)}")
+    return {key: _value(prefix + key, keys[key], value) for key, value in doc.items()}
 
 
 def parse_stream_config(doc: dict) -> StreamConfig:
-    return StreamConfig(
-        model_profiles=_parse_profiles(doc.get("profiles", DEFAULT_PROFILES)),
-        n_labels=int(doc.get("n_labels", 20)),
-        horizon=int(doc.get("horizon", 6000)),
-        batch_size=int(doc.get("batch_size", 500)),
-        schedule=doc.get("schedule", "gradual"),
-    )
+    """A synthetic ``StreamConfig`` from the keys of a ``stream`` document."""
+    settings = _settings(doc, "stream", STREAM_KEYS)
+    if "profiles" in settings:
+        settings["model_profiles"] = tuple(
+            ModelProfile(item) if isinstance(item, str)
+            else ModelProfile(**_settings(item, f"stream.profiles[{i}]", PROFILE_KEYS))
+            for i, item in enumerate(settings.pop("profiles")))
+    return StreamConfig(**settings)
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON document."""
-    policy = doc.get("policy", "gmocp")
-    stream_doc = doc.get("stream", {})
+    """Build an ExperimentConfig from a parsed JSON document.
 
-    stream = stream_path = None
-    if isinstance(stream_doc, dict) and "file" in stream_doc:
-        stream_path = os.path.join(base_dir, stream_doc["file"])
-        first = next(load_stream(stream_path))
+    Only the keys the document sets are passed on, so every other setting
+    keeps its dataclass default; an unknown key or a value of the wrong JSON
+    type raises a ``ValueError`` that names the key.
+    """
+    top = _settings(doc, "", TOP_KEYS)
+    policy = top.setdefault("policy", ExperimentConfig.policy)
+    stream_doc = top.pop("stream", {})
+    if "file" in stream_doc:
+        path = _settings(stream_doc, "stream", {"file": "str"})["file"]
+        top["stream_path"] = os.path.join(base_dir, path)
+        first = next(load_stream(top["stream_path"]))
         n_models, n_labels = len(first.probs), len(first.probs[0])
     else:
-        stream = parse_stream_config(stream_doc if isinstance(stream_doc, dict) else {})
+        top["stream"] = stream = parse_stream_config(stream_doc)
         n_models, n_labels = stream.n_models, stream.n_labels
 
-    p = doc.get("policy_params", {})
-    if policy == "aci":
-        n_models = 1
-
-    graph = None
+    p = _settings(top.pop("policy_params", {}), "policy_params", POLICY_KEYS)
+    n, j, eta_e = p.pop("N", 3), p.pop("J", 1), p.pop("eta_e", 0.2)
     if policy in ("gmocp", "egmocp"):
-        j = int(p.get("J", 1))
-        n = int(p.get("N", 3))
-        eta_e = p.get("eta_e", 0.2)
-        if isinstance(eta_e, (int, float)):
-            graph = GraphParams.uniform(j, n, float(eta_e))
-        else:
-            graph = GraphParams(j, n, tuple(float(e) for e in eta_e))
-
-    beta = float(p.get("beta", 0.05 if policy == "egmocp" else 0.0))
-    params = PolicyConfig(
-        n_models=n_models,
-        score=ScoreParams(
-            xi=float(p.get("xi", 0.1)),
-            k_reg=int(p.get("k_reg", 1)),
-            n_labels=n_labels,
-        ),
-        graph=graph,
-        target_alpha=float(p.get("target_alpha", 0.1)),
-        eta=float(p.get("eta", 0.05)),
-        epsilon=float(p.get("epsilon", 0.5)),
-        beta=beta,
-        coma_gamma=float(p.get("coma_gamma", 0.01)),
-        aci_lr=float(p.get("aci_lr", 0.05)),
-        alpha_init=p.get("alpha_init"),
-        shared_u=bool(p.get("shared_u", False)),
-        track_alpha_bar=bool(p.get("track_alpha_bar", False)),
-    )
-    return ExperimentConfig(
-        policy=policy,
-        policy_params=params,
-        stream=stream,
-        stream_path=stream_path,
-        seeds=tuple(int(s) for s in doc.get("seeds", [0])),
-        output=os.path.join(base_dir, doc.get("output", "results")),
-        width_cap=int(doc.get("width_cap", 40)),
-    )
+        p["graph"] = GraphParams(j, n, (eta_e,) * j if isinstance(eta_e, float) else eta_e)
+    if policy == "egmocp":
+        p.setdefault("beta", 0.05)
+    score = ScoreParams(xi=p.pop("xi", 0.1), k_reg=p.pop("k_reg", 1), n_labels=n_labels)
+    top["policy_params"] = PolicyConfig(n_models=1 if policy == "aci" else n_models, score=score, **p)
+    top["output"] = os.path.join(base_dir, top.get("output", ExperimentConfig.output))
+    return ExperimentConfig(**top)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -236,17 +211,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None)
 
 
 def _write_trace(path: str, records, timing: bool) -> None:
-    fields = ["t", "chosen_model", "node", "set_size", "err"]
-    if timing:
-        fields.append("wall_nanos")
+    names = ("t", "chosen_model", "node", "set_size", "err") + (("wall_nanos",) if timing else ())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for r in records:
-            row = [r.t, r.chosen_model, r.node, r.set_size, r.err]
-            if timing:
-                row.append(r.wall_nanos)
-            writer.writerow(row)
+        writer.writerow(names)
+        writer.writerows([getattr(r, name) for name in names] for r in records)
 
 
 def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):

@@ -60,9 +60,6 @@ class CalibrationStore:
     def insert(self, score: float) -> None:
         bisect.insort(self.scores, float(score))
 
-    def copy(self) -> "CalibrationStore":
-        return CalibrationStore(list(self.scores))
-
 
 def validate_prob_vector(p: np.ndarray, n_labels: int, tol: float = 1e-6) -> np.ndarray:
     p = np.asarray(p, dtype=float)

@@ -26,6 +26,9 @@ QUALITY_SIGNAL = {"high": 12.0, "medium": 7.0, "low": 1.0}
 
 MAX_SEVERITY = 5
 
+# default mixed-quality model pool: mostly strong with a medium and a weak model
+DEFAULT_PROFILES = ("high",) * 6 + ("medium", "low")
+
 
 class StreamFormatError(ValueError):
     """Raised when a stream file violates the expected schema."""
@@ -48,12 +51,11 @@ class ModelProfile:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    model_profiles: tuple
+    model_profiles: tuple = tuple(ModelProfile(q) for q in DEFAULT_PROFILES)
     n_labels: int = 20
     horizon: int = 6000
     batch_size: int = 500
     schedule: str = "gradual"
-    master_seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -94,17 +96,16 @@ def severity_at(t: int, schedule: str, batch_size: int) -> int:
     return pos if pos <= MAX_SEVERITY else 2 * MAX_SEVERITY - pos
 
 
-def generate_step(cfg: StreamConfig, t: int, master_seed: int | None = None) -> StreamStep:
-    """Step t of the stream; depends only on (cfg, t, seed)."""
-    seed = cfg.master_seed if master_seed is None else master_seed
+def generate_step(cfg: StreamConfig, t: int, master_seed: int) -> StreamStep:
+    """Step t of the stream; depends only on (cfg, t, master_seed)."""
     if not 1 <= t <= cfg.horizon:
         raise ValueError(f"t={t} outside [1, {cfg.horizon}]")
     severity = severity_at(t, cfg.schedule, cfg.batch_size)
-    label_rng = stream_rng(seed, "stream-label", t)
+    label_rng = stream_rng(master_seed, "stream-label", t)
     true_label = int(label_rng.integers(cfg.n_labels))
     probs = []
     for m, profile in enumerate(cfg.model_profiles):
-        rng = stream_rng(seed, "stream-model", t, m)
+        rng = stream_rng(master_seed, "stream-model", t, m)
         scale = profile.noise_scale * (1.0 + severity)
         logits = rng.standard_normal(cfg.n_labels) * scale
         logits[true_label] += QUALITY_SIGNAL[profile.quality]
@@ -116,8 +117,8 @@ def generate_step(cfg: StreamConfig, t: int, master_seed: int | None = None) -> 
     return StreamStep(t=t, true_label=true_label, probs=tuple(probs), severity=severity)
 
 
-def generate_stream(cfg: StreamConfig, master_seed: int | None = None):
-    """Iterate steps 1..horizon."""
+def generate_stream(cfg: StreamConfig, master_seed: int):
+    """Iterate steps 1..horizon of the stream of seed ``master_seed``."""
     for t in range(1, cfg.horizon + 1):
         yield generate_step(cfg, t, master_seed)
 
@@ -191,5 +192,6 @@ def load_stream(path):
             if m != len(pending[3]):
                 raise StreamFormatError(f"line {lineno}: model_id {m}, expected {len(pending[3])}")
             pending[3].append(p)
-        if pending is not None:
-            yield finish(pending)
+        if pending is None:
+            raise StreamFormatError(f"{path}: no steps after the header")
+        yield finish(pending)

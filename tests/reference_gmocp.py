@@ -139,9 +139,10 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
         for m in range(n_models):
             stores[m].append(scores[m])
             stores[m].sort()
-        if max(weights) < 1e-300:
-            top = max(weights)
-            weights = [w / top for w in weights]
+        # weights only shrink from 1.0: doubling until the largest is >= 1
+        # puts it in [1, 2) without changing any ratio
+        while max(weights) < 1.0:
+            weights = [2.0 * w for w in weights]
 
         trace.append({
             "t": t,

@@ -47,13 +47,6 @@ def test_local_coverage_windows():
     assert m.local_coverage == pytest.approx((2 / 3, 1 / 3))
 
 
-def test_local_coverage_overlapping_flag():
-    errs = [0, 1, 0, 0]
-    m = compute_metrics([rec(i + 1, 1, e) for i, e in enumerate(errs)],
-                        window=2, overlapping=True)
-    assert m.local_coverage == pytest.approx((0.5, 0.5, 1.0))
-
-
 def test_incomplete_window_dropped():
     m = compute_metrics([rec(i, 1, 0) for i in range(1, 8)], window=3)
     assert len(m.local_coverage) == 2

@@ -27,6 +27,7 @@ from gmocp.scoring import (
     quantile_threshold,
 )
 from gmocp.adapt import sfogd_update
+from gmocp.runner import DEFAULT_PROFILES
 from gmocp.streams import ModelProfile, StreamConfig, generate_stream
 
 from reference_gmocp import reference_trace
@@ -225,13 +226,33 @@ def test_gmocp_subset_invariants_and_determinism():
 
 
 def test_weight_rescale_on_underflow():
-    cfg = policy_config(2, 4, graph=GraphParams.uniform(1, 2, 1.0))
+    """The largest weight lands in [1, 2) and every weight is scaled by one power of two."""
+    cfg = policy_config(3, 4, graph=GraphParams.uniform(1, 2, 1.0))
     policy = GMOCPPolicy(cfg, 17)
-    policy.w[0] = 1e-310
-    policy.w[1] = 1e-320
-    policy._rescale_weights()
-    assert policy.w[0] == 1.0
-    assert policy.w[1] == pytest.approx(1e-10, rel=1e-6)
+    for before in ([1e-310, 1e-320, 3e-300], [0.7, 0.3, 1e-200], [1.0, 0.5, 1e-300]):
+        policy.w = list(before)
+        policy._rescale_weights()
+        assert 1.0 <= max(policy.w) < 2.0
+        scale = policy.w[0] / before[0]
+        assert math.frexp(scale)[0] == 0.5  # a power of two
+        assert policy.w == [x * scale for x in before]
+
+
+def test_egmocp_default_weights_stay_positive_over_long_horizon():
+    """egmocp N3J1 at the default parameters: no weight reaches 0.0 by t=15 000.
+
+    A rescale that acts only once the largest weight is below 1e-300 lets a
+    weight reach 0.0 here at t=14 735.
+    """
+    cfg = PolicyConfig(n_models=8, score=ScoreParams(xi=0.1, k_reg=1, n_labels=20),
+                       graph=GraphParams.uniform(1, 3, 0.2), beta=0.05)
+    stream_cfg = StreamConfig(model_profiles=tuple(ModelProfile(q) for q in DEFAULT_PROFILES),
+                              horizon=15_000)
+    policy = make_policy("egmocp", cfg, 0)
+    for s in generate_stream(stream_cfg, master_seed=0):
+        policy.step(s.probs, s.true_label)
+        assert min(policy.w) > 0.0
+    assert 1.0 <= max(policy.w) < 2.0
 
 
 def test_shared_u_flag():

@@ -2,21 +2,36 @@
 
 import csv
 import json
+import re
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import RUN_CONFIGS, SCHEDULES, experiment_config
+from gmocp import runner
 from gmocp.cli import main
+from gmocp.graph import GraphParams
 from gmocp.oracles import run_oracle
+from gmocp.policies import PolicyConfig
 from gmocp.runner import (
     load_config,
     parse_config,
+    parse_stream_config,
     read_rows,
     run_experiment,
     run_seed,
     run_sweep,
 )
-from gmocp.streams import ModelProfile, StreamConfig, generate_stream
+from gmocp.scoring import ScoreParams
+from gmocp.streams import (
+    ModelProfile,
+    StreamConfig,
+    StreamFormatError,
+    generate_stream,
+    load_stream,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -93,6 +108,119 @@ def test_config_id_distinguishes_graphs(tmp_path):
     c2 = parse_config(tiny_doc(policy_params={"N": 3, "J": 1}), base_dir=str(tmp_path))
     assert c1.config_id() != c2.config_id()
     assert c1.config_id().startswith("gmocp-N2-J1-")
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"seed": 0}, "'seed'"),
+    ({"policy_params": {"epsilonn": 1.0}}, "'policy_params.epsilonn'"),
+    ({"stream": {"horizion": 50}}, "'stream.horizion'"),
+    ({"stream": {"profiles": [{"quality": "high", "noise": 1.0}]}}, "'stream.profiles[0].noise'"),
+])
+def test_parse_rejects_unknown_keys(doc, key):
+    with pytest.raises(ValueError, match=re.escape(f"unknown config key {key};")):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"policy_params": {"shared_u": "false"}}, "policy_params.shared_u"),
+    ({"policy_params": {"epsilon": True}}, "policy_params.epsilon"),
+    ({"policy_params": {"N": 3.0}}, "policy_params.N"),
+    ({"policy_params": {"eta_e": [0.1, "0.2"]}}, "policy_params.eta_e[1]"),
+    ({"stream": {"horizon": "100"}}, "stream.horizon"),
+    ({"stream": []}, "stream"),
+    ({"seeds": [0, 1.5]}, "seeds[1]"),
+    ({"width_cap": None}, "width_cap"),
+])
+def test_parse_rejects_wrong_json_types(doc, key):
+    with pytest.raises(ValueError, match=re.escape(f"config key '{key}' must be")):
+        parse_config(doc)
+
+
+def test_every_config_key_has_a_known_json_type():
+    for keys in (runner.TOP_KEYS, runner.POLICY_KEYS, runner.STREAM_KEYS, runner.PROFILE_KEYS):
+        for kind in keys.values():
+            for alt in kind.replace(" | ", " or ").split(" or "):
+                assert alt.removeprefix("list of ") in runner._JSON_TYPES, kind
+
+
+def test_config_id_ignores_how_a_number_is_written():
+    ids = {parse_config({"policy_params": {"alpha_init": a, "epsilon": e}}).config_id()
+           for a, e in ((0, 1), (0.0, 1.0))}
+    assert len(ids) == 1
+
+
+def test_config_id_ignores_seeds_output_and_alpha_bar_tracking():
+    base = parse_config(tiny_doc()).config_id()
+    assert parse_config(tiny_doc(seeds=[5, 6], output="other")).config_id() == base
+    tracked = tiny_doc(policy_params={"N": 2, "J": 1, "track_alpha_bar": True})
+    assert parse_config(tracked).config_id() == base
+
+
+def test_width_cap_resume_runs_the_new_config(tmp_path):
+    """width_cap sets width_under_k, so configs differing only in it resume apart."""
+    def mocp(width_cap):
+        doc = {"policy": "mocp", "stream": {"horizon": 300}, "seeds": [0],
+               "width_cap": width_cap}
+        return parse_config(doc, base_dir=str(tmp_path))
+
+    first, second = mocp(40), mocp(2)
+    assert first.config_id() != second.config_id()
+    run_experiment(first)
+    rerun = run_experiment(second, resume=True)
+    assert [r.seed for r in rerun] == [0]
+    assert rerun[0].width_under_k == 77.0
+    summary = json.loads((tmp_path / "results_summary.json").read_text())
+    assert summary[second.config_id()]["width_under_k"]["mean"] == 77.0
+
+
+def test_parse_empty_stream_file_names_the_file(tmp_path):
+    (tmp_path / "empty.csv").write_text("t,true_label,severity,model_id,p_0,p_1\n")
+    with pytest.raises(StreamFormatError, match="empty.csv"):
+        parse_config({"stream": {"file": "empty.csv"}}, base_dir=str(tmp_path))
+
+
+def expected_policy(policy, n_models, n, j, track=False):
+    """PolicyConfig of a document that sets only N, J and track_alpha_bar, as written out."""
+    graph = GraphParams.uniform(j, n, 0.2) if policy in ("gmocp", "egmocp") else None
+    return PolicyConfig(
+        n_models=1 if policy == "aci" else n_models,
+        score=ScoreParams(xi=0.1, k_reg=1, n_labels=20), graph=graph,
+        target_alpha=0.1, eta=0.05, epsilon=0.5, beta=0.05 if policy == "egmocp" else 0.0,
+        coma_gamma=0.01, aci_lr=0.05, alpha_init=None, shared_u=False, track_alpha_bar=track,
+    )
+
+
+def expected_stream(qualities, schedule, horizon):
+    return StreamConfig(model_profiles=tuple(ModelProfile(q, 1.0, 1.0) for q in qualities),
+                        n_labels=20, horizon=horizon, batch_size=500, schedule=schedule)
+
+
+def test_parsed_settings_of_the_shipped_configs(tmp_path, monkeypatch):
+    """The configs of the acceptance fixture and the benchmark keep their settings."""
+    pool = ("high",) * 6 + ("medium", "low")
+    for schedule in SCHEDULES:
+        for policy, n, j in RUN_CONFIGS.values():
+            for track in (False, True):
+                cfg = experiment_config(policy, n, j, schedule, tmp_path, track=track)
+                assert cfg.policy_params == expected_policy(policy, 8, n, j, track)
+                assert cfg.stream == expected_stream(pool, schedule, 6000)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    # many-models generates its 2000-step stream in set-up; the configs need none of it
+    monkeypatch.setattr(workloads, "generate_stream", lambda cfg, master_seed: repeat(None))
+    shapes = {"paper-default": (pool, 6000), "many-models": (pool * 32, 2000),
+              "long-horizon": (pool, 50_000)}
+    for name, build in workloads.WORKLOADS.items():
+        qualities, horizon = shapes[name]
+        work_dir = tmp_path / name
+        work_dir.mkdir()
+        for op in build(str(work_dir), 0).ops:
+            graph = re.search(r"N(\d+)J(\d+)$", op.label)
+            n, j = (int(graph[1]), int(graph[2])) if graph else (None, None)
+            schedule = op.label.split("-")[0] if name == "paper-default" else "gradual"
+            assert op.cfg.policy_params == expected_policy(op.policy, len(qualities), n, j)
+            assert op.cfg.stream == expected_stream(qualities, schedule, horizon)
 
 
 # ------------------------------------------------------------ experiments
@@ -241,6 +369,26 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_oracle(capsys):
     assert main(["oracle", "quantile"]) == 0
     assert "oracle quantile" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    {"policy": "mocp", "seeds": [0]},
+    {"n_labels": 6, "horizon": 100, "profiles": ["high", "low"]},
+])
+def test_cli_gen_stream_reads_experiment_or_stream_documents(tmp_path, doc):
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "stream.csv"
+    assert main(["gen-stream", "--config", str(path), "--out", str(out)]) == 0
+    expect = parse_config(doc).stream if "seeds" in doc else parse_stream_config(doc)
+    steps = list(load_stream(out))
+    assert len(steps) == expect.horizon
+    assert (len(steps[0].probs), len(steps[0].probs[0])) == (expect.n_models, expect.n_labels)
+
+
+def test_cli_gen_stream_rejects_unknown_keys(tmp_path):
+    path = write_config(tmp_path, {"horizion": 100})
+    with pytest.raises(ValueError, match="stream.horizion"):
+        main(["gen-stream", "--config", str(path), "--out", str(tmp_path / "s.csv")])
 
 
 def test_cli_gen_stream_round_trip(tmp_path):

@@ -53,15 +53,15 @@ def test_severity_rejects_bad_t():
 
 def test_noiseless_high_quality_always_top1():
     cfg = cfg_for([{"quality": "high", "noise_scale": 0.0}], n_labels=10, horizon=50)
-    for step in generate_stream(cfg):
+    for step in generate_stream(cfg, master_seed=0):
         assert int(np.argmax(step.probs[0])) == step.true_label
 
 
 def test_random_access_matches_sequential():
-    cfg = cfg_for(["high", "low"], n_labels=8, horizon=30, master_seed=3)
-    seq = list(generate_stream(cfg))
+    cfg = cfg_for(["high", "low"], n_labels=8, horizon=30)
+    seq = list(generate_stream(cfg, master_seed=3))
     for t in (1, 13, 30):
-        direct = generate_step(cfg, t)
+        direct = generate_step(cfg, t, master_seed=3)
         assert direct.true_label == seq[t - 1].true_label
         for a, b in zip(direct.probs, seq[t - 1].probs):
             assert np.array_equal(a, b)
@@ -69,17 +69,17 @@ def test_random_access_matches_sequential():
 
 def test_identical_profiles_same_substream_identical_probs():
     """Model m's probabilities depend only on (seed, t, m) and its own profile."""
-    c1 = cfg_for(["high", "low"], n_labels=8, horizon=5, master_seed=9)
-    c2 = cfg_for(["high", "medium"], n_labels=8, horizon=5, master_seed=9)
-    s1 = generate_step(c1, 3)
-    s2 = generate_step(c2, 3)
+    c1 = cfg_for(["high", "low"], n_labels=8, horizon=5)
+    c2 = cfg_for(["high", "medium"], n_labels=8, horizon=5)
+    s1 = generate_step(c1, 3, master_seed=9)
+    s2 = generate_step(c2, 3, master_seed=9)
     assert np.array_equal(s1.probs[0], s2.probs[0])
     assert not np.array_equal(s1.probs[1], s2.probs[1])
 
 
 def test_probs_are_simplexes():
     cfg = cfg_for(["high", "medium", "low"], n_labels=20, horizon=40)
-    for step in generate_stream(cfg):
+    for step in generate_stream(cfg, master_seed=0):
         for p in step.probs:
             assert p.shape == (20,)
             assert np.all(p >= 0)
@@ -90,10 +90,10 @@ def test_top1_calibration_and_severity_monotonicity():
     """Frozen signal constants: high >= 0.85 and low <= 0.4 at severity 0;
     every profile's top-1 accuracy is non-increasing in severity."""
     cfg = cfg_for(["high", "medium", "low"], n_labels=20, horizon=60_000,
-                  batch_size=1, master_seed=5)
+                  batch_size=1)
     hits = np.zeros((6, 3))
     counts = np.zeros(6)
-    for step in generate_stream(cfg):
+    for step in generate_stream(cfg, master_seed=5):
         counts[step.severity] += 1
         for m, p in enumerate(step.probs):
             hits[step.severity, m] += int(np.argmax(p) == step.true_label)
@@ -121,9 +121,9 @@ def test_profile_validation():
 # ------------------------------------------------------------ file format
 
 def test_save_load_round_trip(tmp_path):
-    cfg = cfg_for(["high", "low"], n_labels=6, horizon=20, master_seed=2)
+    cfg = cfg_for(["high", "low"], n_labels=6, horizon=20)
     path = tmp_path / "stream.csv"
-    steps = list(generate_stream(cfg))
+    steps = list(generate_stream(cfg, master_seed=2))
     save_stream(steps, 6, path)
     loaded = list(load_stream(path))
     assert len(loaded) == 20
@@ -206,4 +206,11 @@ def test_load_rejects_stream_not_starting_at_one(tmp_path):
                [[5, 0, 0, 0, 0.5, 0.5],
                 [6, 1, 0, 0, 0.5, 0.5]])
     with pytest.raises(StreamFormatError, match="t=5"):
+        list(load_stream(path))
+
+
+def test_load_rejects_a_file_without_steps(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1", [])
+    with pytest.raises(StreamFormatError, match="empty.csv"):
         list(load_stream(path))
