@@ -1,6 +1,6 @@
 """Deterministic online conformal prediction with graph-structured model selection."""
 
-from .adapt import AlphaState, pinball_loss, sfogd_update
+from .adapt import pinball_loss, sfogd_update
 from .graph import FeedbackGraph, GraphParams, generate_graph
 from .metrics import RunMetrics, compute_metrics, hindsight_regret
 from .policies import (

@@ -1,24 +1,12 @@
-"""Per-model adaptive miscoverage via pinball loss and scale-free OGD."""
+"""Per-model adaptive miscoverage via pinball loss and scale-free OGD.
+
+A level's whole SF-OGD state is two floats: the level ``alpha`` and the
+running sum of squared gradients ``grad_sq``. Each update returns both.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class AlphaState:
-    """Adaptive miscoverage level plus the running gradient-norm accumulator."""
-
-    alpha: float
-    eta: float
-    grad_sq_sum: float = 0.0
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.grad_sq_sum < 0:
-            raise ValueError("grad_sq_sum must be >= 0")
 
 
 def pinball_loss(alpha_bar: float, alpha: float, target_alpha: float) -> float:
@@ -32,19 +20,22 @@ def pinball_gradient(alpha_bar: float, alpha: float, target_alpha: float) -> flo
     return err - target_alpha
 
 
-def sfogd_update(state: AlphaState, alpha_bar: float, target_alpha: float) -> AlphaState:
-    """One scale-free OGD step: denominator is the running root-sum-of-squares."""
-    g = pinball_gradient(alpha_bar, state.alpha, target_alpha)
-    return sfogd_update_gradient(state, g)
+def sfogd_update(alpha: float, grad_sq: float, alpha_bar: float, target_alpha: float,
+                 eta: float) -> tuple:
+    """One scale-free OGD step on the pinball loss; returns the new ``(alpha, grad_sq)``.
+
+    Its gradient is ``pinball_gradient``: a miss is ``alpha_bar < alpha``.
+    """
+    return sfogd_update_err(alpha, grad_sq, alpha_bar < alpha, target_alpha, eta)
 
 
-def sfogd_update_err(state: AlphaState, err: int, target_alpha: float) -> AlphaState:
-    """SF-OGD step driven directly by a coverage indicator (used by COMA)."""
-    return sfogd_update_gradient(state, float(err) - target_alpha)
+def sfogd_update_err(alpha: float, grad_sq: float, err: int, target_alpha: float,
+                     eta: float) -> tuple:
+    """SF-OGD step driven by the miss indicator ``err``; returns the new ``(alpha, grad_sq)``.
 
-
-def sfogd_update_gradient(state: AlphaState, g: float) -> AlphaState:
-    grad_sq_sum = state.grad_sq_sum + g * g
-    # |g| >= target_alpha > 0, so grad_sq_sum > 0 whenever an update happens
-    alpha = state.alpha - state.eta * g / math.sqrt(grad_sq_sum)
-    return AlphaState(alpha=alpha, eta=state.eta, grad_sq_sum=grad_sq_sum)
+    The step is ``eta`` over the root of the running sum of squared gradients.
+    """
+    g = float(err) - target_alpha
+    grad_sq += g * g
+    # |g| >= target_alpha > 0, so grad_sq > 0 whenever an update happens
+    return alpha - eta * g / math.sqrt(grad_sq), grad_sq

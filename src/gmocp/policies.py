@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapt import AlphaState, pinball_loss, sfogd_update, sfogd_update_err
+from .adapt import pinball_loss, sfogd_update, sfogd_update_err
 from .graph import GraphParams, effective_subset, generate_graph, select_node
 from .rng import categorical, stream_rng
 from .scoring import (
@@ -63,6 +63,8 @@ class PolicyConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0 <= self.beta <= 1:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        if self.eta <= 0:
+            raise ValueError(f"eta must be > 0, got {self.eta}")
 
     @property
     def alpha0(self) -> float:
@@ -86,7 +88,8 @@ class StepRecord:
 
 
 class _BasePolicy:
-    """Per-model weights ``w``, levels ``alphas`` and score stores ``calibrations``.
+    """Per-model state: weights ``w``, levels ``alphas``, their SF-OGD sums of squared
+    gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
     ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``.
     """
@@ -99,10 +102,10 @@ class _BasePolicy:
         self.t = 0
         m = cfg.n_models
         self.w = [1.0] * m
-        self.alphas = [AlphaState(alpha=cfg.alpha0, eta=cfg.eta)] * m
+        self.alphas = [cfg.alpha0] * m
+        self.grad_sq = [0.0] * m
         self.calibrations = [CalibrationStore() for _ in range(m)]
         self._rng_u = stream_rng(master_seed, f"{self.name}/tiebreak")
-        self._rng_model = stream_rng(master_seed, f"{self.name}/model")
 
     @property
     def weights(self) -> np.ndarray:
@@ -134,33 +137,33 @@ class _BasePolicy:
         u_vec = self._draw_u()
         node, subset, inclusion, chosen = self._select()
 
-        w, alphas, stores = self.w, self.alphas, self.calibrations
-        threshold = quantile_threshold(stores[chosen], alphas[chosen].alpha)
+        w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self.calibrations
+        threshold = quantile_threshold(stores[chosen], alphas[chosen])
         pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
         err = int(true_label not in pred)
 
         scores = all_model_scores(probs, true_label, u_vec, cfg.score)
         alpha_bars = tuple(map(optimal_alpha_bar, stores, scores)) if cfg.track_alpha_bar else None
 
-        target, beta, epsilon, loss_scale = cfg.target_alpha, cfg.beta, cfg.epsilon, self.loss_scale
+        target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
         losses = {}
         for m, q in zip(subset, inclusion):
-            state = alphas[m]
+            alpha = alphas[m]
             a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
                 stores[m], scores[m]
             )
-            loss = pinball_loss(a_bar, state.alpha, target)
+            loss = pinball_loss(a_bar, alpha, target)
             losses[m] = loss
-            exponent = (1.0 - beta) * (loss / q) / loss_scale
+            exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
                 if m == chosen:
                     size = pred.size
                 else:
-                    thr = quantile_threshold(stores[m], state.alpha)
+                    thr = quantile_threshold(stores[m], alpha)
                     size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
                 exponent += beta * size
             w[m] *= math.exp(-epsilon * exponent)
-            alphas[m] = sfogd_update(state, a_bar, target)
+            alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
         for store, score in zip(stores, scores):
             store.insert(score)
@@ -198,6 +201,7 @@ class GMOCPPolicy(_BasePolicy):
         super().__init__(cfg, master_seed)
         self._rng_graph = stream_rng(master_seed, f"{self.name}/graph")
         self._rng_node = stream_rng(master_seed, f"{self.name}/node")
+        self._rng_model = stream_rng(master_seed, f"{self.name}/model")
         # mixability scale: halve the importance-weighted loss per doubling of J
         self.loss_scale = 2.0 ** math.floor(math.log2(cfg.graph.n_selective))
 
@@ -226,6 +230,7 @@ class MOCPPolicy(_BasePolicy):
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         # every model is in the subset with inclusion 1, and no set-size penalty
         super().__init__(replace(cfg, beta=0.0), master_seed)
+        self._rng_model = stream_rng(master_seed, f"{self.name}/model")
         self._subset = tuple(range(cfg.n_models))
         self._inclusion = (1.0,) * cfg.n_models
 
@@ -246,13 +251,14 @@ def vote_set(membership: np.ndarray, weights_norm: np.ndarray, vote_u: float) ->
 
 
 class COMAPolicy(_BasePolicy):
-    """Weighted-majority vote over per-model sets at one shared adaptive level."""
+    """Weighted-majority vote over per-model sets at one shared adaptive level,
+    ``shared_alpha``, with its SF-OGD sum of squared gradients ``shared_grad_sq``."""
 
     name = "coma"
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         super().__init__(cfg, master_seed)
-        self.alpha = AlphaState(alpha=cfg.alpha0, eta=cfg.eta)
+        self.shared_alpha, self.shared_grad_sq = cfg.alpha0, 0.0
         self._rng_vote = stream_rng(master_seed, f"{self.name}/vote")
 
     def step(self, probs, true_label: int):
@@ -265,12 +271,12 @@ class COMAPolicy(_BasePolicy):
         k = cfg.score.n_labels
         membership = np.zeros((cfg.n_models, k), dtype=bool)
         for m, store in enumerate(self.calibrations):
-            thr = quantile_threshold(store, self.alpha.alpha)
+            thr = quantile_threshold(store, self.shared_alpha)
             membership[m] = all_label_scores(probs[m], u_vec[m], cfg.score) <= thr
 
         weights = self.weights
         labels = vote_set(membership, weights / weights.sum(), vote_u)
-        pred = PredictionSet(labels, float("nan"))
+        pred = PredictionSet(labels)
         err = int(true_label not in pred)
 
         scores = all_model_scores(probs, true_label, u_vec, cfg.score)
@@ -279,7 +285,8 @@ class COMAPolicy(_BasePolicy):
             w[m] *= math.exp(-cfg.coma_gamma * int(membership[m].sum()))
             store.insert(scores[m])
         self._rescale_weights()
-        self.alpha = sfogd_update_err(self.alpha, err, cfg.target_alpha)
+        self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
+            self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)
 
         record = StepRecord(
             t=self.t,
@@ -292,30 +299,27 @@ class COMAPolicy(_BasePolicy):
         return pred, record
 
 
-class ACIPolicy:
-    """Single-model adaptive conformal inference with a fixed step size."""
+class ACIPolicy(_BasePolicy):
+    """Single-model ACI: the level ``alphas[0]`` moves by the fixed step ``aci_lr``."""
 
     name = "aci"
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         if cfg.n_models != 1:
             raise ValueError("ACI is single-model; set n_models=1")
-        self.cfg = cfg
-        self.t = 0
-        self.alpha = cfg.alpha0
-        self.calibration = CalibrationStore()
-        self._rng_u = stream_rng(master_seed, "aci/tiebreak")
+        super().__init__(cfg, master_seed)
 
     def step(self, probs, true_label: int):
         cfg = self.cfg
         start = time.perf_counter_ns()
         self.t += 1
         u = float(self._rng_u.random())
-        threshold = quantile_threshold(self.calibration, self.alpha)
+        store, alphas = self.calibrations[0], self.alphas
+        threshold = quantile_threshold(store, alphas[0])
         pred = build_prediction_set(probs[0], threshold, u, cfg.score)
         err = int(true_label not in pred)
-        self.calibration.insert(nonconformity_score(probs[0], true_label, u, cfg.score))
-        self.alpha += cfg.aci_lr * (cfg.target_alpha - err)
+        store.insert(nonconformity_score(probs[0], true_label, u, cfg.score))
+        alphas[0] += cfg.aci_lr * (cfg.target_alpha - err)
 
         record = StepRecord(
             t=self.t,

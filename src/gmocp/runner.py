@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if (self.stream is None) == (self.stream_path is None):
             raise ValueError("exactly one of stream / stream_path required")
+        if self.policy == "egmocp" and self.policy_params.beta == 0.0:
+            raise ValueError("egmocp requires beta > 0")
 
     @property
     def n_links(self) -> int:
@@ -112,6 +114,14 @@ POLICY_KEYS = _keys(PolicyConfig, n_models=None, score=None, graph=None, xi="flo
 STREAM_KEYS = _keys(StreamConfig, model_profiles=None, profiles="list")
 PROFILE_KEYS = _keys(ModelProfile)
 
+# policy_params key -> the policies that read it; any other policy rejects the key
+_GRAPH, _SFOGD = ("gmocp", "egmocp"), ("gmocp", "egmocp", "mocp", "coma")
+READ_BY = dict.fromkeys(("target_alpha", "alpha_init", "xi", "k_reg"), POLICY_NAMES) | {
+    "N": _GRAPH, "J": _GRAPH, "eta_e": _GRAPH, "beta": ("egmocp",),
+    "epsilon": _GRAPH + ("mocp",), "track_alpha_bar": _GRAPH + ("mocp",),
+    "eta": _SFOGD, "shared_u": _SFOGD, "coma_gamma": ("coma",), "aci_lr": ("aci",),
+}
+
 
 def _settings(doc, where: str, keys: dict) -> dict:
     """The settings ``doc`` makes, converted; an unknown key or a wrong JSON type is an error."""
@@ -155,8 +165,11 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         n_models, n_labels = stream.n_models, stream.n_labels
 
     p = _settings(top.pop("policy_params", {}), "policy_params", POLICY_KEYS)
+    for key in p:
+        if policy in POLICY_NAMES and policy not in READ_BY[key]:
+            raise ValueError(f"config key 'policy_params.{key}' is not read by policy {policy!r}")
     n, j, eta_e = p.pop("N", 3), p.pop("J", 1), p.pop("eta_e", 0.2)
-    if policy in ("gmocp", "egmocp"):
+    if policy in _GRAPH:
         p["graph"] = GraphParams(j, n, (eta_e,) * j if isinstance(eta_e, float) else eta_e)
     if policy == "egmocp":
         p.setdefault("beta", 0.05)

@@ -37,7 +37,6 @@ class ScoreParams:
 @dataclass(frozen=True)
 class PredictionSet:
     labels: frozenset
-    threshold: float
 
     @property
     def size(self) -> int:
@@ -135,7 +134,7 @@ def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: Scor
     """All labels whose score is at most the threshold (shared u across labels)."""
     scores = all_label_scores(p, u, params)
     members = np.flatnonzero(scores <= threshold)
-    return PredictionSet(frozenset(int(m) for m in members), threshold)
+    return PredictionSet(frozenset(int(m) for m in members))
 
 
 def prediction_set_size(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> int:

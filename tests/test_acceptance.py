@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from gmocp.adapt import AlphaState, sfogd_update
+from gmocp.adapt import sfogd_update
 from gmocp.graph import GraphParams, connection_pmf, effective_subset, generate_graph, select_node
 from gmocp.metrics import best_constant_loss
 from gmocp.oracles import check_alpha_bar, check_inclusion_prob, check_loss_unbiasedness, check_quantile
@@ -133,14 +133,14 @@ def test_criterion_07_sfogd_range(capsys):
     for _ in range(1000):
         eta = float(rng.uniform(0.01, 0.2))
         target = float(rng.uniform(0.05, 0.5))
-        state = AlphaState(alpha=target, eta=eta)
+        alpha, grad_sq = target, 0.0
         alpha_bars = rng.random(1000)
         # sprinkle boundary cases where alpha_bar lands exactly on alpha
-        alpha_bars[::97] = state.alpha
+        alpha_bars[::97] = alpha
         for ab in alpha_bars:
-            state = sfogd_update(state, float(ab), target)
-            dev_lo = state.alpha + eta
-            dev_hi = 1.0 + eta - state.alpha
+            alpha, grad_sq = sfogd_update(alpha, grad_sq, float(ab), target, eta)
+            dev_lo = alpha + eta
+            dev_hi = 1.0 + eta - alpha
             lo = min(lo, dev_lo)
             hi = min(hi, dev_hi)
             total += 1
@@ -210,7 +210,7 @@ def test_criterion_10_lemma5_dominance(capsys):
             lens = np.array([
                 prediction_set_size(
                     step.probs[m],
-                    quantile_threshold(policy.calibrations[m], policy.alphas[m].alpha),
+                    quantile_threshold(policy.calibrations[m], policy.alphas[m]),
                     0.5, score,
                 )
                 for m in range(cfg.n_models)

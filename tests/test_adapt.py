@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmocp.adapt import (
-    AlphaState,
     pinball_gradient,
     pinball_loss,
     sfogd_update,
     sfogd_update_err,
 )
+from gmocp.policies import MOCPPolicy, PolicyConfig
+from gmocp.scoring import ScoreParams
 
 
 def test_pinball_zero_residual():
@@ -53,32 +54,30 @@ def test_gradient_is_finite_difference_slope():
 
 
 def test_sfogd_first_step_covered():
-    state = AlphaState(alpha=0.1, eta=0.05)
-    new = sfogd_update(state, 0.5, 0.1)
-    assert new.alpha == pytest.approx(0.15)
-    assert new.grad_sq_sum == pytest.approx(0.01)
+    alpha, grad_sq = sfogd_update(0.1, 0.0, 0.5, 0.1, 0.05)
+    assert alpha == pytest.approx(0.15)
+    assert grad_sq == pytest.approx(0.01)
 
 
 def test_sfogd_first_step_missed():
-    state = AlphaState(alpha=0.1, eta=0.05)
-    new = sfogd_update(state, 0.0, 0.1)
-    assert new.alpha == pytest.approx(0.05)
-    assert new.grad_sq_sum == pytest.approx(0.81)
+    alpha, grad_sq = sfogd_update(0.1, 0.0, 0.0, 0.1, 0.05)
+    assert alpha == pytest.approx(0.05)
+    assert grad_sq == pytest.approx(0.81)
 
 
 def test_sfogd_err_variant_matches():
-    s1 = sfogd_update(AlphaState(alpha=0.3, eta=0.05), 0.1, 0.1)  # 0.1 < 0.3: miss
-    s2 = sfogd_update_err(AlphaState(alpha=0.3, eta=0.05), 1, 0.1)
-    assert s1.alpha == pytest.approx(s2.alpha)
-    assert s1.grad_sq_sum == pytest.approx(s2.grad_sq_sum)
+    a1, g1 = sfogd_update(0.3, 0.0, 0.1, 0.1, 0.05)  # 0.1 < 0.3: miss
+    a2, g2 = sfogd_update_err(0.3, 0.0, 1, 0.1, 0.05)
+    assert a1 == pytest.approx(a2)
+    assert g1 == pytest.approx(g2)
 
 
 def test_sfogd_alternating_stays_in_range():
     eta = 0.05
-    state = AlphaState(alpha=0.1, eta=eta)
+    alpha, grad_sq = 0.1, 0.0
     for i in range(100):
-        state = sfogd_update(state, 0.0 if i % 2 else 1.0, 0.1)
-        assert -eta <= state.alpha <= 1.0 + eta
+        alpha, grad_sq = sfogd_update(alpha, grad_sq, 0.0 if i % 2 else 1.0, 0.1, eta)
+        assert -eta <= alpha <= 1.0 + eta
 
 
 @given(
@@ -94,17 +93,23 @@ def test_sfogd_range_invariant_random_sequences(alpha_bars, eta, target):
     arbitrary err bits instead can leave the range (a miss is impossible
     once alpha is negative), so the driver mirrors the real dynamics.
     """
-    state = AlphaState(alpha=target, eta=eta)
+    alpha, grad_sq = target, 0.0
     prev_gss = 0.0
     for ab in alpha_bars:
-        state = sfogd_update(state, ab, target)
-        assert -eta - 1e-12 <= state.alpha <= 1.0 + eta + 1e-12
-        assert state.grad_sq_sum >= prev_gss
-        prev_gss = state.grad_sq_sum
+        alpha, grad_sq = sfogd_update(alpha, grad_sq, ab, target, eta)
+        assert -eta - 1e-12 <= alpha <= 1.0 + eta + 1e-12
+        assert grad_sq >= prev_gss
+        prev_gss = grad_sq
 
 
 def test_alpha_state_validation():
+    """A level's SF-OGD state lives on the policy: its step size ``eta`` is checked
+    by ``PolicyConfig`` and every level starts at ``alpha0`` with ``grad_sq == 0``."""
+    score = ScoreParams(xi=0.1, k_reg=1, n_labels=6)
     with pytest.raises(ValueError):
-        AlphaState(alpha=0.1, eta=0.0)
+        PolicyConfig(n_models=2, score=score, eta=0.0)
     with pytest.raises(ValueError):
-        AlphaState(alpha=0.1, eta=0.05, grad_sq_sum=-1.0)
+        PolicyConfig(n_models=2, score=score, eta=-0.05)
+    policy = MOCPPolicy(PolicyConfig(n_models=3, score=score, alpha_init=0.2), 0)
+    assert policy.alphas == [0.2, 0.2, 0.2]
+    assert policy.grad_sq == [0.0, 0.0, 0.0]

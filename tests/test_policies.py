@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from gmocp.adapt import AlphaState
 from gmocp.graph import GraphParams
 from gmocp.policies import (
     ACIPolicy,
@@ -80,7 +79,7 @@ def test_gmocp_trace_matches_reference(beta):
         assert pred.labels == expect["labels"]
         assert rec.err == expect["err"]
         got_w = list(policy.w)
-        got_a = [a.alpha for a in policy.alphas]
+        got_a = policy.alphas
         assert got_w == pytest.approx(expect["weights"], rel=1e-9)
         assert got_a == pytest.approx(expect["alphas"], rel=1e-9)
 
@@ -96,28 +95,28 @@ def test_gmocp_reduces_to_single_model_loop():
                  stream_rng(3, "gmocp/model")]
     params = cfg.score
     store = CalibrationStore()
-    state = AlphaState(alpha=0.1, eta=0.05)
+    alpha, grad_sq = 0.1, 0.0
     errs = []
     for s in steps:
         u = float(rng_u.random())
         for r in rng_other:
             r.random()  # graph/node/model draws are consumed but forced
-        thr = quantile_threshold(store, state.alpha)
+        thr = quantile_threshold(store, alpha)
         pred = build_prediction_set(s.probs[0], thr, u, params)
         err = int(s.true_label not in pred)
         score = nonconformity_score(s.probs[0], s.true_label, u, params)
         ab = optimal_alpha_bar(store, score)
-        state = sfogd_update(state, ab, 0.1)
+        alpha, grad_sq = sfogd_update(alpha, grad_sq, ab, 0.1, 0.05)
         store.insert(score)
 
         _, rec = policy.step(s.probs, s.true_label)
         assert (rec.set_size, rec.err, rec.chosen_model) == (pred.size, err, 0)
         errs.append(err)
-    assert policy.alphas[0].alpha == pytest.approx(state.alpha, rel=1e-12)
+    assert policy.alphas[0] == pytest.approx(alpha, rel=1e-12)
     # easy stationary stream: the error rate settles near the target and the
     # adaptive level stays inside the guaranteed range
     assert np.mean(errs) <= 0.15
-    assert -0.05 - 1e-9 <= policy.alphas[0].alpha <= 1.05 + 1e-9
+    assert -0.05 - 1e-9 <= policy.alphas[0] <= 1.05 + 1e-9
 
 
 # --------------------------------------------------------- update algebra
@@ -273,22 +272,22 @@ def test_mocp_single_model_matches_hand_loop():
     rng_u = stream_rng(23, "mocp/tiebreak")
     rng_model = stream_rng(23, "mocp/model")
     store = CalibrationStore()
-    state = AlphaState(alpha=0.1, eta=0.05)
+    alpha, grad_sq = 0.1, 0.0
     for s in steps:
         u = float(rng_u.random())
         rng_model.random()  # selection draw consumed even with one model
-        thr = quantile_threshold(store, state.alpha)
+        thr = quantile_threshold(store, alpha)
         pred = build_prediction_set(s.probs[0], thr, u, cfg.score)
         score = nonconformity_score(s.probs[0], s.true_label, u, cfg.score)
         ab = optimal_alpha_bar(store, score)
-        state = sfogd_update(state, ab, 0.1)
+        alpha, grad_sq = sfogd_update(alpha, grad_sq, ab, 0.1, 0.05)
         store.insert(score)
 
         _, rec = policy.step(s.probs, s.true_label)
         assert rec.chosen_model == 0
         assert rec.set_size == pred.size
         assert rec.err == int(s.true_label not in pred)
-    assert policy.alphas[0].alpha == pytest.approx(state.alpha, rel=1e-12)
+    assert policy.alphas[0] == pytest.approx(alpha, rel=1e-12)
 
 
 def test_mocp_symmetry_equal_losses():
@@ -300,7 +299,7 @@ def test_mocp_symmetry_equal_losses():
         probs = (s.probs[0], s.probs[0])
         policy.step(probs, s.true_label)
         assert policy.w[0] == policy.w[1]
-        assert policy.alphas[0].alpha == policy.alphas[1].alpha
+        assert policy.alphas[0] == policy.alphas[1]
 
 
 # -------------------------------------------------------------------- COMA
@@ -334,7 +333,7 @@ def test_coma_smoke_run():
         assert 0 <= rec.set_size <= 6
         assert rec.chosen_model == -1
         errs.append(rec.err)
-    assert -0.05 - 1e-9 <= policy.alpha.alpha <= 1.05 + 1e-9
+    assert -0.05 - 1e-9 <= policy.shared_alpha <= 1.05 + 1e-9
     assert np.mean(errs) < 0.5
 
 
@@ -345,12 +344,12 @@ def test_aci_update_directions():
     policy = ACIPolicy(cfg, 37)
     probs = (np.array([0.5, 0.2, 0.1, 0.1, 0.05, 0.05]),)
     policy.step(probs, 0)  # empty store: +inf threshold, covered
-    assert policy.alpha == pytest.approx(0.1 + 0.05 * 0.1)
+    assert policy.alphas[0] == pytest.approx(0.1 + 0.05 * 0.1)
 
     policy2 = ACIPolicy(cfg, 37)
-    policy2.calibration = CalibrationStore([-1.0] * 10)  # force a miss
+    policy2.calibrations[0] = CalibrationStore([-1.0] * 10)  # force a miss
     policy2.step(probs, 0)
-    assert policy2.alpha == pytest.approx(0.1 - 0.05 * 0.9)
+    assert policy2.alphas[0] == pytest.approx(0.1 - 0.05 * 0.9)
 
 
 def test_aci_long_run_error_rate():
@@ -394,3 +393,5 @@ def test_policy_config_validation():
         policy_config(2, 6, epsilon=0.0)
     with pytest.raises(ValueError):
         policy_config(2, 6, beta=1.5)
+    with pytest.raises(ValueError):
+        policy_config(2, 6, eta=0.0)

@@ -1,6 +1,7 @@
 """Runner orchestration, config parsing, CLI subcommands, output formats."""
 
 import csv
+import hashlib
 import json
 import re
 from itertools import repeat
@@ -143,6 +144,47 @@ def test_every_config_key_has_a_known_json_type():
                 assert alt.removeprefix("list of ") in runner._JSON_TYPES, kind
 
 
+@pytest.mark.parametrize("policy, params", [
+    ("mocp", {"N": 7}),
+    ("gmocp", {"beta": 0.3}),
+    ("aci", {"epsilon": 9}),
+    ("aci", {"eta": -3}),
+])
+def test_parse_rejects_settings_the_policy_does_not_read(policy, params):
+    (key,) = params
+    message = f"config key 'policy_params.{key}' is not read by policy '{policy}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config({"policy": policy, "policy_params": params})
+
+
+def test_every_policy_accepts_the_settings_it_reads():
+    assert set(runner.READ_BY) == set(runner.POLICY_KEYS)
+    defaults = {"target_alpha": 0.1, "alpha_init": None, "xi": 0.1, "k_reg": 1, "N": 3, "J": 1,
+                "eta_e": 0.2, "beta": 0.05, "epsilon": 0.5, "track_alpha_bar": False,
+                "eta": 0.05, "shared_u": False, "coma_gamma": 0.01, "aci_lr": 0.05}
+    for policy in runner.POLICY_NAMES:
+        params = {key: defaults[key] for key, readers in runner.READ_BY.items()
+                  if policy in readers}
+        cfg = parse_config({"policy": policy, "policy_params": params})
+        assert cfg.config_id() == parse_config({"policy": policy}).config_id()
+
+
+@pytest.mark.parametrize("policy, params, message", [
+    ("egmocp", {"N": 2, "J": 1, "beta": 0}, "egmocp requires beta > 0"),
+    ("mocp", {"eta": 0}, "eta must be > 0"),
+])
+def test_config_errors_fire_before_the_results_file_is_opened(tmp_path, policy, params,
+                                                              message):
+    assert main(["run", "--config", str(write_config(tmp_path, tiny_doc()))]) == 0
+    before = (tmp_path / "results.csv").read_bytes()
+    doc = tiny_doc(policy=policy, policy_params=params)
+    with pytest.raises(ValueError, match=message):
+        parse_config(doc, base_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        main(["run", "--config", str(write_config(tmp_path, doc, "late.json"))])
+    assert (tmp_path / "results.csv").read_bytes() == before
+
+
 def test_config_id_ignores_how_a_number_is_written():
     ids = {parse_config({"policy_params": {"alpha_init": a, "epsilon": e}}).config_id()
            for a, e in ((0, 1), (0.0, 1.0))}
@@ -248,6 +290,32 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+# sha256 (first 16 hex digits) of the results CSV, summary JSON and trace CSV
+# of each paper-default configuration: gradual, seed 0, T=1000
+PINNED_OUTPUTS = {
+    ("gmocp", 3, 1): ("a19bfbc6d3add46f", "afc5dda01c5c5219", "f426b9abf8830bfa"),
+    ("gmocp", 5, 4): ("5b9aff05e90e0dff", "02fa5eb1bcf975cd", "a64c526277e985aa"),
+    ("egmocp", 3, 1): ("6c97b6857971a365", "6e890bae5abdd92f", "718d359b8dd5b8a5"),
+    ("egmocp", 5, 4): ("a485cf47b396cf89", "5a7c0abd57b9fd66", "7990709962f37be7"),
+    ("mocp", None, None): ("97648c497953230d", "a5241bdc5429ab4d", "2bce546820403136"),
+    ("coma", None, None): ("3232c6f26b036fb4", "f38764be32bb0b10", "c20e7231b64d8d08"),
+    ("aci", None, None): ("516a57a7336cb9ad", "d09c936b5d9a543b", "6bf995b7b330cae4"),
+}
+
+
+@pytest.mark.parametrize("policy, n, j", list(PINNED_OUTPUTS))
+def test_default_outputs_are_pinned(tmp_path, policy, n, j):
+    """A change to any result of the default configurations shows here."""
+    doc = {"policy": policy, "stream": {"schedule": "gradual", "horizon": 1000},
+           "seeds": [0], "output": "out"}
+    if n is not None:
+        doc["policy_params"] = {"N": n, "J": j}
+    run_experiment(parse_config(doc, base_dir=str(tmp_path)), trace=True)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+                    for name in ("out.csv", "out_summary.json", "out_trace_seed0.csv"))
+    assert digests == PINNED_OUTPUTS[(policy, n, j)]
+
+
 def test_resume_skips_completed(tmp_path):
     doc = tiny_doc(seeds=[1, 2])
     cfg = parse_config(doc, base_dir=str(tmp_path))
@@ -309,7 +377,7 @@ def test_run_seed_rejects_stream_shape_mismatch(n_models, n_labels):
 
 
 def test_run_seed_aci_reads_first_model_of_a_wider_stream():
-    cfg = parse_config(tiny_doc(policy="aci"))  # a single-model policy on two models
+    cfg = parse_config(tiny_doc(policy="aci", policy_params={}))  # single-model, two in the stream
     _, records = run_seed(cfg, 1)
     assert len(records) == 100
 
@@ -341,7 +409,7 @@ def test_sweep_product(tmp_path):
 
 
 def test_sweep_requires_graph_policy(tmp_path):
-    cfg = parse_config(tiny_doc(policy="mocp"), base_dir=str(tmp_path))
+    cfg = parse_config(tiny_doc(policy="mocp", policy_params={}), base_dir=str(tmp_path))
     with pytest.raises(ValueError):
         run_sweep(cfg, [1], [1])
 
