@@ -1,7 +1,7 @@
 """Online conformal policies: GMOCP, EGMOCP, MOCP, COMA and single-model ACI.
 
-Every policy exposes ``step(probs, true_label) -> (PredictionSet, StepRecord)``
-and keeps per-model calibration stores, adaptive miscoverage levels and
+Every policy exposes ``step(probs, true_label) -> (PredictionSet, StepRecord)``,
+where ``probs`` is (M, K) and ``true_label`` in [0, K), and keeps per-model calibration stores, adaptive miscoverage levels and
 exponential weights. Randomness comes from named streams addressed by the
 master seed, so two policies built with the same seed consume identical
 draws in identical order.
@@ -96,6 +96,7 @@ class _BasePolicy:
 
     name = "base"
     loss_scale = 1.0
+    reads_model_0_only = False  # ACI: a stream with any number of models will do
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         self.cfg = cfg
@@ -120,6 +121,19 @@ class _BasePolicy:
         if shift:
             self.w = [math.ldexp(x, shift) for x in self.w]
 
+    def _checked(self, probs, true_label: int) -> np.ndarray:
+        """``probs`` as a float array; a shape other than (M, K) or a label outside
+        [0, K) raises ``ValueError``."""
+        probs = np.asarray(probs, dtype=float)
+        m, k = self.cfg.n_models, self.cfg.score.n_labels
+        if self.reads_model_0_only and probs.ndim == 2 and len(probs):
+            m = len(probs)
+        if probs.shape != (m, k):
+            raise ValueError(f"{self.name}: probs has shape {probs.shape}, expected ({m}, {k})")
+        if not 0 <= true_label < k:
+            raise ValueError(f"{self.name}: true_label {true_label} outside [0, {k})")
+        return probs
+
     def _draw_u(self) -> np.ndarray:
         """Per-model tie-break uniforms (a single shared draw when configured)."""
         if self.cfg.shared_u:
@@ -133,6 +147,7 @@ class _BasePolicy:
     def step(self, probs, true_label: int):
         cfg = self.cfg
         start = time.perf_counter_ns()
+        probs = self._checked(probs, true_label)
         self.t += 1
         u_vec = self._draw_u()
         node, subset, inclusion, chosen = self._select()
@@ -264,6 +279,7 @@ class COMAPolicy(_BasePolicy):
     def step(self, probs, true_label: int):
         cfg = self.cfg
         start = time.perf_counter_ns()
+        probs = self._checked(probs, true_label)
         self.t += 1
         u_vec = self._draw_u()
         vote_u = float(self._rng_vote.random())
@@ -303,6 +319,7 @@ class ACIPolicy(_BasePolicy):
     """Single-model ACI: the level ``alphas[0]`` moves by the fixed step ``aci_lr``."""
 
     name = "aci"
+    reads_model_0_only = True
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
         if cfg.n_models != 1:
@@ -312,6 +329,7 @@ class ACIPolicy(_BasePolicy):
     def step(self, probs, true_label: int):
         cfg = self.cfg
         start = time.perf_counter_ns()
+        probs = self._checked(probs, true_label)
         self.t += 1
         u = float(self._rng_u.random())
         store, alphas = self.calibrations[0], self.alphas

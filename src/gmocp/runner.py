@@ -63,10 +63,14 @@ class ExperimentConfig:
             raise ValueError(f"policy must be one of {POLICY_NAMES}, got {self.policy!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if (self.stream is None) == (self.stream_path is None):
             raise ValueError("exactly one of stream / stream_path required")
         if self.policy == "egmocp" and self.policy_params.beta == 0.0:
             raise ValueError("egmocp requires beta > 0")
+        if self.policy in ("gmocp", "egmocp") and self.policy_params.graph is None:
+            raise ValueError(f"{self.policy} requires graph parameters (policy_params.graph)")
 
     @property
     def n_links(self) -> int:
@@ -159,7 +163,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         path = _settings(stream_doc, "stream", {"file": "str"})["file"]
         top["stream_path"] = os.path.join(base_dir, path)
         first = next(load_stream(top["stream_path"]))
-        n_models, n_labels = len(first.probs), len(first.probs[0])
+        n_models, n_labels = first.probs.shape
     else:
         top["stream"] = stream = parse_stream_config(stream_doc)
         n_models, n_labels = stream.n_models, stream.n_labels

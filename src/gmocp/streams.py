@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_rng
+from .rng import rngs_from_words, seed_words
+from .rng import stream_rng  # noqa: F401  (perfbench's tracer wraps it under this name)
 from .scoring import validate_prob_vector
 
 SCHEDULES = ("gradual", "sudden", "stationary")
@@ -25,6 +26,12 @@ SCHEDULES = ("gradual", "sudden", "stationary")
 QUALITY_SIGNAL = {"high": 12.0, "medium": 7.0, "low": 1.0}
 
 MAX_SEVERITY = 5
+
+# generator rows (a step has M + 1) per block of generate_stream, which hashes their
+# seeds and takes their softmax in one pass each. The policy step after a block runs on
+# cold caches (about +30 us at M=8), so blocks are long enough to make that rare (one
+# step in 227 at M=8) and short enough to hold only 2048 * K probabilities.
+BLOCK_ROWS = 2048
 
 # default mixed-quality model pool: mostly strong with a medium and a weak model
 DEFAULT_PROFILES = ("high",) * 6 + ("medium", "low")
@@ -76,7 +83,7 @@ class StreamConfig:
 class StreamStep:
     t: int
     true_label: int
-    probs: tuple  # one probability vector per model
+    probs: np.ndarray  # (M, K): one probability vector per model
     severity: int
 
 
@@ -96,31 +103,62 @@ def severity_at(t: int, schedule: str, batch_size: int) -> int:
     return pos if pos <= MAX_SEVERITY else 2 * MAX_SEVERITY - pos
 
 
+def _profile_columns(cfg: StreamConfig):
+    """Noise scale, quality signal and temperature of each model, as (M, 1), (M,), (M, 1)."""
+    profiles = cfg.model_profiles
+    return (np.array([[p.noise_scale] for p in profiles]),
+            np.array([QUALITY_SIGNAL[p.quality] for p in profiles]),
+            np.array([[p.temperature] for p in profiles]))
+
+
+def _steps(cfg: StreamConfig, master_seed: int, start: int, stop: int):
+    """Steps start..stop-1, their generators' seed words hashed and their softmax taken
+    in one pass each.
+
+    Step t draws its label from ``stream_rng(master_seed, "stream-label", t)`` and model
+    m's normals from ``stream_rng(master_seed, "stream-model", t, m)``; ``rngs_from_words``
+    builds those generators from their ``seed_words``. Each step gets its own copy of
+    its rows of the block's (steps, M, K) array, so a step kept does not keep the block.
+    """
+    ts = np.arange(start, stop)
+    n, m, k = len(ts), cfg.n_models, cfg.n_labels
+    label_words = seed_words(master_seed, "stream-label", ts)
+    labels = [int(rng.integers(k)) for rng in rngs_from_words(label_words)]
+    normals = np.empty((n * m, k))
+    model_words = seed_words(master_seed, "stream-model", ts[:, None], np.arange(m))
+    for row, rng in zip(normals, rngs_from_words(model_words)):
+        row[:] = rng.standard_normal(k)
+    severities = [severity_at(t, cfg.schedule, cfg.batch_size) for t in range(start, stop)]
+
+    noise, signal, temperature = _profile_columns(cfg)
+    logits = normals.reshape(n, m, k)
+    logits *= noise * (1.0 + np.array(severities, dtype=float))[:, None, None]
+    logits[np.arange(n), :, labels] += signal
+    logits /= temperature
+    logits -= logits.max(axis=2, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=2, keepdims=True)
+    for t, label, severity, p in zip(range(start, stop), labels, severities, probs):
+        yield StreamStep(t=t, true_label=label, probs=p.copy(), severity=severity)
+
+
 def generate_step(cfg: StreamConfig, t: int, master_seed: int) -> StreamStep:
     """Step t of the stream; depends only on (cfg, t, master_seed)."""
     if not 1 <= t <= cfg.horizon:
         raise ValueError(f"t={t} outside [1, {cfg.horizon}]")
-    severity = severity_at(t, cfg.schedule, cfg.batch_size)
-    label_rng = stream_rng(master_seed, "stream-label", t)
-    true_label = int(label_rng.integers(cfg.n_labels))
-    probs = []
-    for m, profile in enumerate(cfg.model_profiles):
-        rng = stream_rng(master_seed, "stream-model", t, m)
-        scale = profile.noise_scale * (1.0 + severity)
-        logits = rng.standard_normal(cfg.n_labels) * scale
-        logits[true_label] += QUALITY_SIGNAL[profile.quality]
-        logits /= profile.temperature
-        logits -= logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
-        probs.append(p)
-    return StreamStep(t=t, true_label=true_label, probs=tuple(probs), severity=severity)
+    return next(_steps(cfg, master_seed, t, t + 1))
+
+
+def block_steps(cfg: StreamConfig) -> int:
+    """Steps per block of ``generate_stream``."""
+    return max(1, BLOCK_ROWS // (cfg.n_models + 1))
 
 
 def generate_stream(cfg: StreamConfig, master_seed: int):
     """Iterate steps 1..horizon of the stream of seed ``master_seed``."""
-    for t in range(1, cfg.horizon + 1):
-        yield generate_step(cfg, t, master_seed)
+    size = block_steps(cfg)
+    for start in range(1, cfg.horizon + 1, size):
+        yield from _steps(cfg, master_seed, start, min(start + size, cfg.horizon + 1))
 
 
 def save_stream(steps, n_labels: int, path) -> None:
@@ -160,7 +198,7 @@ def load_stream(path):
                 raise StreamFormatError(
                     f"t={t}: {len(probs)} model rows, expected {n_models}"
                 )
-            return StreamStep(t=t, true_label=y, probs=tuple(probs), severity=sev)
+            return StreamStep(t=t, true_label=y, probs=np.array(probs), severity=sev)
 
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4 + n_labels:

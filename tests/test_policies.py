@@ -395,3 +395,33 @@ def test_policy_config_validation():
         policy_config(2, 6, beta=1.5)
     with pytest.raises(ValueError):
         policy_config(2, 6, eta=0.0)
+
+
+@pytest.mark.parametrize("shape, label, message", [
+    ((8, 10), 0, r"probs has shape \(8, 10\), expected \(8, 20\)"),
+    ((4, 20), 0, r"probs has shape \(4, 20\), expected \(8, 20\)"),
+    ((12, 20), 0, r"probs has shape \(12, 20\), expected \(8, 20\)"),
+    ((8, 20), 25, r"true_label 25 outside \[0, 20\)"),
+    ((8, 20), -1, r"true_label -1 outside \[0, 20\)"),
+])
+def test_step_rejects_inputs_of_the_wrong_shape(shape, label, message):
+    graph = GraphParams.uniform(1, 3, 0.5)
+    for policy in (MOCPPolicy(policy_config(8, 20), 0), COMAPolicy(policy_config(8, 20), 0),
+                   GMOCPPolicy(policy_config(8, 20, graph=graph), 0)):
+        with pytest.raises(ValueError, match=message):
+            policy.step(np.full(shape, 1.0 / shape[1]), label)
+        assert policy.t == 0
+
+
+def test_aci_step_checks_only_the_label_count():
+    """ACI predicts from model 0, so a stream with any number of models will do."""
+    policy = ACIPolicy(policy_config(1, 20), 0)
+    policy.step(np.full((3, 20), 0.05), 4)
+    for probs, label, message in [
+        (np.full((3, 10), 0.1), 4, r"shape \(3, 10\), expected \(3, 20\)"),
+        (np.full(20, 0.05), 4, r"shape \(20,\), expected \(1, 20\)"),
+        (np.full((3, 20), 0.05), 20, r"true_label 20 outside \[0, 20\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            policy.step(probs, label)
+    assert policy.t == 1

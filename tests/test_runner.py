@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -182,6 +183,28 @@ def test_config_errors_fire_before_the_results_file_is_opened(tmp_path, policy, 
         parse_config(doc, base_dir=str(tmp_path))
     with pytest.raises(ValueError, match=message):
         main(["run", "--config", str(write_config(tmp_path, doc, "late.json"))])
+    assert (tmp_path / "results.csv").read_bytes() == before
+
+
+def test_negative_seed_fails_before_the_results_file_is_opened(tmp_path):
+    cfg = parse_config(tiny_doc(), base_dir=str(tmp_path))
+    run_experiment(cfg)
+    before = (tmp_path / "results.csv").read_bytes()
+    with pytest.raises(ValueError, match="seeds must be non-negative"):
+        parse_config(tiny_doc(seeds=[2, -1]), base_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="non-negative"):
+        run_experiment(replace(cfg, seeds=(-1,)))
+    assert (tmp_path / "results.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("policy", ["gmocp", "egmocp"])
+def test_missing_graph_fails_before_the_results_file_is_opened(tmp_path, policy):
+    """A config built in code can leave out the graph, which JSON configs always set."""
+    cfg = parse_config(tiny_doc(policy=policy), base_dir=str(tmp_path))
+    run_experiment(cfg)
+    before = (tmp_path / "results.csv").read_bytes()
+    with pytest.raises(ValueError, match="requires graph parameters"):
+        run_experiment(replace(cfg, policy_params=replace(cfg.policy_params, graph=None)))
     assert (tmp_path / "results.csv").read_bytes() == before
 
 

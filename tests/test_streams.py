@@ -1,18 +1,23 @@
 """Synthetic stream generation, severity schedules and CSV round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gmocp.streams import (
+    DEFAULT_PROFILES,
     ModelProfile,
     StreamConfig,
     StreamFormatError,
+    block_steps,
     generate_step,
     generate_stream,
     load_stream,
     save_stream,
     severity_at,
 )
+from reference_stream import reference_step
 
 
 def cfg_for(profiles, **kw):
@@ -105,6 +110,47 @@ def test_top1_calibration_and_severity_monotonicity():
         assert np.all(np.diff(acc[:, m]) <= 0.02)
 
 
+CUSTOM = [{"quality": q, "noise_scale": 0.7, "temperature": 1.3} for q in ("high", "medium", "low")]
+
+
+def assert_step_is(step, reference):
+    t, label, severity, probs = reference
+    assert (step.t, step.true_label, step.severity) == (t, label, severity)
+    assert step.probs.dtype == np.float64 and step.probs.flags.c_contiguous
+    assert step.probs.shape == (len(probs), len(probs[0]))
+    for got, want in zip(step.probs, probs):
+        assert np.array_equal(got, want)
+
+
+# every schedule, M in {1, 3, 8}, K in {2, 13, 20}, seeds 0, 7 and 2**40, default and
+# non-default profiles; the horizon crosses a block boundary of generate_stream
+@pytest.mark.parametrize("schedule, profiles, n_labels, seed", [
+    ("gradual", DEFAULT_PROFILES, 20, 0),
+    ("sudden", CUSTOM, 13, 7),
+    ("stationary", ["low"], 2, 2**40),
+    ("gradual", CUSTOM, 2, 2**40),
+    ("sudden", [{"quality": "medium", "noise_scale": 0.0}], 20, 0),
+    ("stationary", DEFAULT_PROFILES, 13, 7),
+])
+def test_block_generation_is_bit_identical_to_one_generator_per_row(schedule, profiles,
+                                                                    n_labels, seed):
+    cfg = cfg_for(profiles, n_labels=n_labels, horizon=1, batch_size=25, schedule=schedule)
+    cfg = replace(cfg, horizon=block_steps(cfg) + 12)
+    steps = list(generate_stream(cfg, master_seed=seed))
+    assert len(steps) == cfg.horizon
+    for t, step in enumerate(steps, start=1):
+        reference = reference_step(cfg, t, seed)
+        assert_step_is(step, reference)
+        assert_step_is(generate_step(cfg, t, master_seed=seed), reference)
+
+
+def test_random_access_beyond_two_to_the_32_steps():
+    """A step counter of 2**32 or more enters the seed as two words."""
+    cfg = cfg_for(["high", "low"], n_labels=5, horizon=2**32 + 2)
+    for t in (2**32 - 1, 2**32, 2**32 + 2):
+        assert_step_is(generate_step(cfg, t, master_seed=3), reference_step(cfg, t, 3))
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         ModelProfile("amazing")
@@ -127,6 +173,7 @@ def test_save_load_round_trip(tmp_path):
     save_stream(steps, 6, path)
     loaded = list(load_stream(path))
     assert len(loaded) == 20
+    assert all(s.probs.shape == (2, 6) and s.probs.flags.c_contiguous for s in loaded)
     for a, b in zip(steps, loaded):
         assert (a.t, a.true_label, a.severity) == (b.t, b.true_label, b.severity)
         for pa, pb in zip(a.probs, b.probs):
