@@ -1,10 +1,10 @@
 """Online conformal policies: GMOCP, EGMOCP, MOCP, COMA and single-model ACI.
 
 Every policy exposes ``step(probs, true_label) -> (PredictionSet, StepRecord)``,
-where ``probs`` is (M, K) and ``true_label`` in [0, K), and keeps per-model calibration stores, adaptive miscoverage levels and
-exponential weights. Randomness comes from named streams addressed by the
-master seed, so two policies built with the same seed consume identical
-draws in identical order.
+where ``probs`` is (M, K) and ``true_label`` in [0, K), and keeps per-model
+calibration stores, adaptive miscoverage levels and exponential weights.
+Randomness comes from named streams addressed by the master seed, so two
+policies built with the same seed consume identical draws in identical order.
 
 Per-step draw order (fixed, relied upon by replay tests):
   1. one tie-break uniform per model,
