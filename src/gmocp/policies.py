@@ -12,12 +12,25 @@ Per-step draw order (fixed, relied upon by replay tests):
   3. one uniform for node selection (GMOCP/EGMOCP only),
   4. one uniform for model selection (not COMA/ACI),
   5. one uniform for the voting threshold (COMA only).
+
+Deferred score log: a step scores the true label under every model, and every
+score goes into that model's sorted calibration store. When a step reads only
+its subset's stores (GMOCP/EGMOCP with M at least ``DEFER_MODELS_PER_LINK``
+times the subset bound N, and ``track_alpha_bar`` off), the step writes its M
+scores as one row of a ``ScoreLog`` in one numpy assignment, and a store is
+brought up to date only just before it is read: the subset's stores each step,
+and every store when the log fills or ``policy.calibrations`` is read. Every
+store holds the same multiset at every read as with one insert per score, in
+the same order, so every output is bit-identical. MOCP (whose subset is every
+model), COMA, ACI, tracked alpha_bar and small pools insert each score as it
+comes.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +50,13 @@ from .scoring import (
     prediction_set_size,
     quantile_threshold,
 )
+
+
+LOG_ROWS = 1024  # steps a ScoreLog holds before it brings every store up to date
+SORT_FROM = 16  # pending scores from which one list.sort() beats an insort each
+# graph policies defer when M >= this times N: a store is then read about once in
+# M/N >= 32 steps, where merging its pending scores at once beats eager inserts
+DEFER_MODELS_PER_LINK = 32
 
 
 @dataclass(frozen=True)
@@ -87,11 +107,54 @@ class StepRecord:
     alpha_bars: tuple | None = None  # all-model alpha_bar, only when tracked
 
 
+class ScoreLog:
+    """Scores written a row of M per step, merged into a model's store when it is read.
+
+    ``stores`` is the policy's list of stores, shared: a store put in it at
+    index m receives the scores written after m's last ``sync``.
+    """
+
+    def __init__(self, stores: list, rows: int = LOG_ROWS):
+        self.stores = stores
+        self._log = np.empty((rows, len(stores)))
+        self._rows = 0  # rows written since the log was last emptied
+        self._synced = [0] * len(stores)  # rows merged into each store
+
+    def append(self, scores) -> None:
+        self._log[self._rows] = scores
+        self._rows += 1
+        if self._rows == len(self._log):
+            self.sync_all()
+            self._rows = 0
+            self._synced = [0] * len(self.stores)
+
+    def sync(self, models) -> None:
+        """Merge the pending scores of ``models`` into their stores."""
+        log, rows, synced, stores = self._log, self._rows, self._synced, self.stores
+        for m in models:
+            start = synced[m]
+            if start == rows:
+                continue
+            pending = log[start:rows, m].tolist()
+            scores = stores[m].scores
+            if len(pending) < SORT_FROM:
+                for score in pending:
+                    insort(scores, score)
+            else:  # stable: equal scores keep their insertion order, as insort's do
+                scores.extend(pending)
+                scores.sort()
+            synced[m] = rows
+
+    def sync_all(self) -> None:
+        self.sync(range(len(self.stores)))
+
+
 class _BasePolicy:
     """Per-model state: weights ``w``, levels ``alphas``, their SF-OGD sums of squared
     gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
-    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``.
+    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``, and a
+    subclass whose steps read only a subset of the stores may set ``_log``.
     """
 
     name = "base"
@@ -105,8 +168,17 @@ class _BasePolicy:
         self.w = [1.0] * m
         self.alphas = [cfg.alpha0] * m
         self.grad_sq = [0.0] * m
-        self.calibrations = [CalibrationStore() for _ in range(m)]
+        self._stores = [CalibrationStore() for _ in range(m)]
+        self._log = None  # a ScoreLog over _stores, or None to insert every score at once
         self._rng_u = stream_rng(master_seed, f"{self.name}/tiebreak")
+
+    @property
+    def calibrations(self) -> list:
+        """Every model's store, holding every score so far; a store put in the list
+        receives the scores of later steps."""
+        if self._log is not None:
+            self._log.sync_all()
+        return self._stores
 
     @property
     def weights(self) -> np.ndarray:
@@ -151,8 +223,10 @@ class _BasePolicy:
         self.t += 1
         u_vec = self._draw_u()
         node, subset, inclusion, chosen = self._select()
+        if self._log is not None:
+            self._log.sync(subset)  # chosen is in subset
 
-        w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self.calibrations
+        w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self._stores
         threshold = quantile_threshold(stores[chosen], alphas[chosen])
         pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
         err = int(true_label not in pred)
@@ -180,8 +254,11 @@ class _BasePolicy:
             w[m] *= math.exp(-epsilon * exponent)
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
-        for store, score in zip(stores, scores):
-            store.insert(score)
+        if self._log is None:
+            for store, score in zip(stores, scores):
+                store.insert(score)
+        else:
+            self._log.append(scores)
         self._rescale_weights()
 
         record = StepRecord(
@@ -219,6 +296,9 @@ class GMOCPPolicy(_BasePolicy):
         self._rng_model = stream_rng(master_seed, f"{self.name}/model")
         # mixability scale: halve the importance-weighted loss per doubling of J
         self.loss_scale = 2.0 ** math.floor(math.log2(cfg.graph.n_selective))
+        # a step reads at most N stores, so each is read about every M/N steps
+        if not cfg.track_alpha_bar and cfg.n_models >= DEFER_MODELS_PER_LINK * cfg.graph.max_links:
+            self._log = ScoreLog(self._stores)
 
     def _select(self):
         graph = generate_graph(self.weights, self.cfg.graph, self._rng_graph)
@@ -286,7 +366,7 @@ class COMAPolicy(_BasePolicy):
 
         k = cfg.score.n_labels
         membership = np.zeros((cfg.n_models, k), dtype=bool)
-        for m, store in enumerate(self.calibrations):
+        for m, store in enumerate(self._stores):
             thr = quantile_threshold(store, self.shared_alpha)
             membership[m] = all_label_scores(probs[m], u_vec[m], cfg.score) <= thr
 
@@ -297,7 +377,7 @@ class COMAPolicy(_BasePolicy):
 
         scores = all_model_scores(probs, true_label, u_vec, cfg.score)
         w = self.w
-        for m, store in enumerate(self.calibrations):
+        for m, store in enumerate(self._stores):
             w[m] *= math.exp(-cfg.coma_gamma * int(membership[m].sum()))
             store.insert(scores[m])
         self._rescale_weights()
@@ -332,7 +412,7 @@ class ACIPolicy(_BasePolicy):
         probs = self._checked(probs, true_label)
         self.t += 1
         u = float(self._rng_u.random())
-        store, alphas = self.calibrations[0], self.alphas
+        store, alphas = self._stores[0], self.alphas
         threshold = quantile_threshold(store, alphas[0])
         pred = build_prediction_set(probs[0], threshold, u, cfg.score)
         err = int(true_label not in pred)

@@ -431,6 +431,21 @@ def test_sweep_product(tmp_path):
     assert {(r.N, r.J) for r in rows} == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
+def test_sweep_rejects_per_node_eta_e_before_the_results_file_is_opened(tmp_path):
+    """Each grid point gets one eta_e at every node, so differing entries cannot be kept."""
+    cfg = parse_config(tiny_doc(policy_params={"N": 3, "J": 2, "eta_e": [0.05, 0.9]}),
+                       base_dir=str(tmp_path))
+    run_experiment(cfg)
+    before = (tmp_path / "results.csv").read_bytes()
+    with pytest.raises(ValueError, match="policy_params.eta_e"):
+        run_sweep(cfg, [3], [2])
+    assert (tmp_path / "results.csv").read_bytes() == before
+    # equal entries are one coefficient, and the grid point is the config itself
+    same = parse_config(tiny_doc(policy_params={"N": 3, "J": 2, "eta_e": [0.3, 0.3]}),
+                        base_dir=str(tmp_path))
+    assert list(run_sweep(same, [3], [2])) == [same.config_id()]
+
+
 def test_sweep_requires_graph_policy(tmp_path):
     cfg = parse_config(tiny_doc(policy="mocp", policy_params={}), base_dir=str(tmp_path))
     with pytest.raises(ValueError):
