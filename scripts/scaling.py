@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 scripts/scaling.py src [--models 8 16 32 64 128 256 1024] [--steps 2000]
+    python3 scripts/scaling.py src [--models 8 16 32 64 128 256 1024]
 
 ``src`` is the source tree to measure (the directory that holds ``gmocp``),
 so two checkouts can be compared with one copy of this script. Each
@@ -23,13 +23,14 @@ import sys
 
 POLICIES = (("gmocp", 3, 1), ("egmocp", 5, 4), ("mocp", None, None))
 MODELS = (8, 16, 32, 64, 128, 256, 1024)
+LABELS, STEPS, SEED = 20, 2000, 0
 
 
 def label(policy, n, j) -> str:
     return policy if n is None else f"{policy}-N{n}J{j}"
 
 
-def measure(policy: str, n, j, n_models: int, steps: int, labels: int, seed: int) -> dict:
+def measure(policy: str, n, j, n_models: int) -> dict:
     """Per-step times of one run, in this interpreter (gmocp must be importable)."""
     from time import perf_counter_ns
 
@@ -41,18 +42,18 @@ def measure(policy: str, n, j, n_models: int, steps: int, labels: int, seed: int
 
     profiles = [DEFAULT_PROFILES[m % len(DEFAULT_PROFILES)] for m in range(n_models)]
     doc = {"policy": policy, "policy_params": {} if n is None else {"N": n, "J": j},
-           "stream": {"profiles": profiles, "schedule": "gradual", "horizon": steps,
-                      "n_labels": labels}}
+           "stream": {"profiles": profiles, "schedule": "gradual", "horizon": STEPS,
+                      "n_labels": LABELS}}
     cfg = parse_config(doc)
-    stream = list(generate_stream(cfg.stream, master_seed=seed))
-    pol = make_policy(cfg.policy, cfg.policy_params, seed)
+    stream = list(generate_stream(cfg.stream, master_seed=SEED))
+    pol = make_policy(cfg.policy, cfg.policy_params, SEED)
     times = np.empty(len(stream))
     for i, s in enumerate(stream):
         start = perf_counter_ns()
         pol.step(s.probs, s.true_label)
         times[i] = perf_counter_ns() - start
     p50, p99 = np.percentile(times / 1e3, [50, 99])
-    return {"policy": label(policy, n, j), "M": n_models, "K": labels, "T": steps,
+    return {"policy": label(policy, n, j), "M": n_models, "K": LABELS, "T": STEPS,
             "step_us_p50": float(p50), "step_us_p99": float(p99)}
 
 
@@ -60,17 +61,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", help="source tree that holds the gmocp package")
     parser.add_argument("--models", type=int, nargs="+", default=MODELS)
-    parser.add_argument("--steps", type=int, default=2000)
-    parser.add_argument("--labels", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--one", nargs=3, metavar=("POLICY", "N", "J"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.one:  # child: one point, printed as JSON
         policy, n, j = args.one
         n, j = (None, None) if n == "-" else (int(n), int(j))
-        print(json.dumps(measure(policy, n, j, args.models[0], args.steps, args.labels,
-                                 args.seed)))
+        print(json.dumps(measure(policy, n, j, args.models[0])))
         return
 
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
@@ -80,8 +77,7 @@ def main(argv=None) -> None:
         for policy, n, j in POLICIES:
             cmd = [sys.executable, os.path.abspath(__file__), args.src, "--one", policy,
                    "-" if n is None else str(n), "-" if j is None else str(j),
-                   "--models", str(n_models), "--steps", str(args.steps),
-                   "--labels", str(args.labels), "--seed", str(args.seed)]
+                   "--models", str(n_models)]
             out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
             points.append(json.loads(out.stdout.strip().splitlines()[-1]))
 

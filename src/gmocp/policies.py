@@ -21,9 +21,10 @@ scores as one row of a ``ScoreLog`` in one numpy assignment, and a store is
 brought up to date only just before it is read: the subset's stores each step,
 and every store when the log fills or ``policy.calibrations`` is read. Every
 store holds the same multiset at every read as with one insert per score, in
-the same order, so every output is bit-identical. MOCP (whose subset is every
-model), COMA, ACI, tracked alpha_bar and small pools insert each score as it
-comes.
+the same order, so every output is bit-identical (for scores that are not NaN:
+a NaN probability makes a NaN score, which insort and list.sort may place
+differently). MOCP (whose subset is every model), COMA, ACI, tracked
+alpha_bar and small pools insert each score as it comes.
 """
 
 from __future__ import annotations
@@ -108,8 +109,10 @@ class StepRecord:
 
 
 class ScoreLog:
-    """Scores written a row of M per step, merged into a model's store when it is read.
+    """A (rows, M) log of scores, one row per step, and a cursor per model.
 
+    ``sync`` merges a model's pending scores into its store; when the log
+    fills, every store takes its pending scores and the log starts over.
     ``stores`` is the policy's list of stores, shared: a store put in it at
     index m receives the scores written after m's last ``sync``.
     """

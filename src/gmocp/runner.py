@@ -304,19 +304,19 @@ def run_sweep(cfg: ExperimentConfig, n_values, j_values, resume: bool = False,
               timing: bool = False) -> dict:
     """Cross product over graph sizes; one combined CSV plus summary JSON.
 
-    Every grid point uses the config's one ``eta_e`` at each of its J nodes;
-    a per-node ``eta_e`` whose entries differ is an error. Returns each config's rows in the CSV, by config id.
+    Every grid point uses the config's one ``eta_e`` at each of its J nodes,
+    so a per-node ``eta_e`` whose entries differ is an error. Returns each
+    config's rows in the CSV, by config id.
     """
     if cfg.policy_params.graph is None:
         raise ValueError("sweep requires a graph-based policy (gmocp or egmocp)")
-    eta_e = set(cfg.policy_params.graph.eta_e)
-    if len(eta_e) > 1:
-        raise ValueError("sweep applies one exploration coefficient to every node, but "
-                         f"policy_params.eta_e is {list(cfg.policy_params.graph.eta_e)}")
-    eta_e = eta_e.pop()
+    eta_e = cfg.policy_params.graph.eta_e
+    if len(set(eta_e)) > 1:
+        raise ValueError("sweep gives every node one exploration coefficient, but "
+                         f"policy_params.eta_e is {list(eta_e)}")
     grid = [
         replace(cfg, policy_params=replace(cfg.policy_params,
-                                           graph=GraphParams.uniform(j, n, eta_e)))
+                                           graph=GraphParams.uniform(j, n, eta_e[0])))
         for n in n_values
         for j in j_values
     ]
