@@ -178,7 +178,9 @@ class _BasePolicy:
     @property
     def calibrations(self) -> list:
         """Every model's store, holding every score so far; a store put in the list
-        receives the scores of later steps."""
+        receives the scores of later steps. With a deferred log, the list is
+        brought up to date when this property is read, so read it again after
+        a step rather than keep it."""
         if self._log is not None:
             self._log.sync_all()
         return self._stores
