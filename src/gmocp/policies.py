@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class StepRecord:
     node: int = -1
     subset: tuple = ()
     chosen_loss: float = 0.0
-    losses: dict = field(default_factory=dict)  # model -> pinball loss (updated models)
     wall_nanos: int = 0
     alpha_bars: tuple | None = None  # all-model alpha_bar, only when tracked
 
@@ -240,14 +239,14 @@ class _BasePolicy:
         alpha_bars = tuple(map(optimal_alpha_bar, stores, scores)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
-        losses = {}
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
             a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
                 stores[m], scores[m]
             )
             loss = pinball_loss(a_bar, alpha, target)
-            losses[m] = loss
+            if m == chosen:
+                chosen_loss = loss
             exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
                 if m == chosen:
@@ -273,8 +272,7 @@ class _BasePolicy:
             err=err,
             node=node,
             subset=subset,
-            chosen_loss=losses[chosen],
-            losses=losses,
+            chosen_loss=chosen_loss,
             wall_nanos=time.perf_counter_ns() - start,
             alpha_bars=alpha_bars,
         )

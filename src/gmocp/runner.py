@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import streams
 from .graph import GraphParams
 from .metrics import compute_metrics
 from .policies import POLICY_NAMES, PolicyConfig, make_policy
@@ -83,9 +84,12 @@ class ExperimentConfig:
         return g.n_selective if g is not None else 0
 
     def config_id(self) -> str:
-        """Policy, N, J and a hash of every field that can change a result."""
+        """Policy, N, J and a hash of every field that can change a result, and of
+        ``streams.STREAM_VERSION`` when the stream is synthetic."""
         doc = asdict(self)
         del doc["seeds"], doc["output"], doc["policy_params"]["track_alpha_bar"]
+        if self.stream is not None:
+            doc["stream_version"] = streams.STREAM_VERSION
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:8]
         return f"{self.policy}-N{self.n_links}-J{self.n_selective}-{digest}"
 

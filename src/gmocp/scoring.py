@@ -64,6 +64,8 @@ def validate_prob_vector(p: np.ndarray, n_labels: int, tol: float = 1e-6) -> np.
     p = np.asarray(p, dtype=float)
     if p.shape != (n_labels,):
         raise ValueError(f"probability vector has length {p.shape}, expected ({n_labels},)")
+    if not np.isfinite(p).all():
+        raise ValueError("probability vector has non-finite entries")
     if np.any(p < 0):
         raise ValueError("probability vector has negative entries")
     if abs(float(p.sum()) - 1.0) > tol:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import rngs_from_words, seed_words
-from .rng import stream_rng  # noqa: F401  (perfbench's tracer wraps it under this name)
+from .rng import stream_rng
 from .scoring import validate_prob_vector
 
 SCHEDULES = ("gradual", "sudden", "stationary")
@@ -27,11 +26,16 @@ QUALITY_SIGNAL = {"high": 12.0, "medium": 7.0, "low": 1.0}
 
 MAX_SEVERITY = 5
 
-# generator rows (a step has M + 1) per block of generate_stream, which hashes their
-# seeds and takes their softmax in one pass each. The policy step after a block runs on
-# cold caches (about +30 us at M=8), so blocks are long enough to make that rare (one
-# step in 227 at M=8) and short enough to hold only 2048 * K probabilities.
+# rows per block of generate_stream, counting M + 1 per step (its label and its M models),
+# whose softmax it takes in one pass. The policy step after a block runs on cold caches
+# (about +30 us at M=8), so blocks are long enough to make that rare (one step in 227 at
+# M=8) and short enough to hold only 2048 * K probabilities.
 BLOCK_ROWS = 2048
+
+# the layout of the draws behind a synthetic stream; ExperimentConfig.config_id hashes it,
+# so results made from streams of another layout never share an id with these. Version 1
+# drew each step's label and each model's normals from M + 1 generators.
+STREAM_VERSION = 2
 
 # default mixed-quality model pool: mostly strong with a medium and a weak model
 DEFAULT_PROFILES = ("high",) * 6 + ("medium", "low")
@@ -112,26 +116,23 @@ def _profile_columns(cfg: StreamConfig):
 
 
 def _steps(cfg: StreamConfig, master_seed: int, start: int, stop: int):
-    """Steps start..stop-1, their generators' seed words hashed and their softmax taken
-    in one pass each.
+    """Steps start..stop-1, their softmax taken in one pass.
 
-    Step t draws its label from ``stream_rng(master_seed, "stream-label", t)`` and model
-    m's normals from ``stream_rng(master_seed, "stream-model", t, m)``; ``rngs_from_words``
-    builds those generators from their ``seed_words``. Each step gets its own copy of
-    its rows of the block's (steps, M, K) array, so a step kept does not keep the block.
+    Step t draws from one generator, ``stream_rng(master_seed, "stream-step", t)``: its
+    label with ``integers(K)`` first, then its (M, K) normals in row-major order, which
+    fill the step's row of the block's (steps, M, K) array. Each step gets its own copy
+    of its row, so a step kept does not keep the block.
     """
-    ts = np.arange(start, stop)
-    n, m, k = len(ts), cfg.n_models, cfg.n_labels
-    label_words = seed_words(master_seed, "stream-label", ts)
-    labels = [int(rng.integers(k)) for rng in rngs_from_words(label_words)]
-    normals = np.empty((n * m, k))
-    model_words = seed_words(master_seed, "stream-model", ts[:, None], np.arange(m))
-    for row, rng in zip(normals, rngs_from_words(model_words)):
-        row[:] = rng.standard_normal(k)
+    n, m, k = stop - start, cfg.n_models, cfg.n_labels
+    labels = []
+    logits = np.empty((n, m, k))  # the normals, turned into probabilities in place
+    for t, row in zip(range(start, stop), logits):
+        rng = stream_rng(master_seed, "stream-step", t)
+        labels.append(int(rng.integers(k)))
+        rng.standard_normal(out=row)
     severities = [severity_at(t, cfg.schedule, cfg.batch_size) for t in range(start, stop)]
 
     noise, signal, temperature = _profile_columns(cfg)
-    logits = normals.reshape(n, m, k)
     logits *= noise * (1.0 + np.array(severities, dtype=float))[:, None, None]
     logits[np.arange(n), :, labels] += signal
     logits /= temperature

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import RUN_CONFIGS, SCHEDULES, experiment_config
-from gmocp import runner
+from gmocp import runner, streams
 from gmocp.cli import main
 from gmocp.graph import GraphParams
 from gmocp.oracles import run_oracle
@@ -221,6 +221,20 @@ def test_config_id_ignores_seeds_output_and_alpha_bar_tracking():
     assert parse_config(tracked).config_id() == base
 
 
+def test_config_id_hashes_the_stream_version_of_synthetic_streams(tmp_path, monkeypatch):
+    """Rows made by streams drawn another way never resume or summarize with these;
+    a stream file's values do not depend on the version, so neither does its id."""
+    (tmp_path / "s.csv").write_text("t,true_label,severity,model_id,p_0,p_1\n"
+                                    "1,0,0,0,0.5,0.5\n")
+    synthetic = parse_config(tiny_doc())
+    from_file = parse_config({"policy": "mocp", "stream": {"file": "s.csv"}},
+                             base_dir=str(tmp_path))
+    ids = synthetic.config_id(), from_file.config_id()
+    monkeypatch.setattr(streams, "STREAM_VERSION", streams.STREAM_VERSION + 1)
+    assert synthetic.config_id() != ids[0]
+    assert from_file.config_id() == ids[1]
+
+
 def test_width_cap_resume_runs_the_new_config(tmp_path):
     """width_cap sets width_under_k, so configs differing only in it resume apart."""
     def mocp(width_cap):
@@ -233,9 +247,9 @@ def test_width_cap_resume_runs_the_new_config(tmp_path):
     run_experiment(first)
     rerun = run_experiment(second, resume=True)
     assert [r.seed for r in rerun] == [0]
-    assert rerun[0].width_under_k == 77.0
+    assert rerun[0].width_under_k == 74.66666666666667
     summary = json.loads((tmp_path / "results_summary.json").read_text())
-    assert summary[second.config_id()]["width_under_k"]["mean"] == 77.0
+    assert summary[second.config_id()]["width_under_k"]["mean"] == 74.66666666666667
 
 
 def test_parse_empty_stream_file_names_the_file(tmp_path):
@@ -316,13 +330,13 @@ def test_repeat_runs_byte_identical(tmp_path):
 # sha256 (first 16 hex digits) of the results CSV, summary JSON and trace CSV
 # of each paper-default configuration: gradual, seed 0, T=1000
 PINNED_OUTPUTS = {
-    ("gmocp", 3, 1): ("a19bfbc6d3add46f", "afc5dda01c5c5219", "f426b9abf8830bfa"),
-    ("gmocp", 5, 4): ("5b9aff05e90e0dff", "02fa5eb1bcf975cd", "a64c526277e985aa"),
-    ("egmocp", 3, 1): ("6c97b6857971a365", "6e890bae5abdd92f", "718d359b8dd5b8a5"),
-    ("egmocp", 5, 4): ("a485cf47b396cf89", "5a7c0abd57b9fd66", "7990709962f37be7"),
-    ("mocp", None, None): ("97648c497953230d", "a5241bdc5429ab4d", "2bce546820403136"),
-    ("coma", None, None): ("3232c6f26b036fb4", "f38764be32bb0b10", "c20e7231b64d8d08"),
-    ("aci", None, None): ("516a57a7336cb9ad", "d09c936b5d9a543b", "6bf995b7b330cae4"),
+    ("gmocp", 3, 1): ("9d628777d6fad75a", "a2b8aa3db6d1a67d", "05e36830ac1318aa"),
+    ("gmocp", 5, 4): ("e4fbdc815d24d16e", "9b8fc713f53128e0", "7cda1c4e0af9474a"),
+    ("egmocp", 3, 1): ("09ded75def07eacd", "adcd9509ffdba775", "023fd2464b7441a0"),
+    ("egmocp", 5, 4): ("3dc47cb1b0a86592", "19fa7351c4ca0589", "b0dbe1a370e1b472"),
+    ("mocp", None, None): ("0b1a56b4bf5c9b17", "047d2a5228cd0ddd", "acd60dd12d280da4"),
+    ("coma", None, None): ("e8e37c00c388847d", "19aa4e8b343cdaf2", "601bcdfbeb877cca"),
+    ("aci", None, None): ("be63f5934effc313", "e82ec8947a4c0d6b", "d340c9936c62ac01"),
 }
 
 

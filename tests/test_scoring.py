@@ -60,6 +60,8 @@ def test_validate_prob_vector():
         validate_prob_vector(np.array([0.6, 0.6, -0.2]), 3)
     with pytest.raises(ValueError):
         validate_prob_vector(np.array([0.4, 0.3, 0.1]), 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_prob_vector(np.array([np.nan, 0.5, 0.5]), 3)
 
 
 def test_score_params_validation():

@@ -122,8 +122,9 @@ def assert_step_is(step, reference):
         assert np.array_equal(got, want)
 
 
-# every schedule, M in {1, 3, 8}, K in {2, 13, 20}, seeds 0, 7 and 2**40, default and
-# non-default profiles; the horizon crosses a block boundary of generate_stream
+# one generator per row of the block, that is per step: every schedule, M in {1, 3, 8},
+# K in {2, 13, 20}, seeds 0, 7 and 2**40, default and non-default profiles; the horizon
+# crosses a block boundary of generate_stream
 @pytest.mark.parametrize("schedule, profiles, n_labels, seed", [
     ("gradual", DEFAULT_PROFILES, 20, 0),
     ("sudden", CUSTOM, 13, 7),
@@ -192,6 +193,17 @@ def test_load_rejects_bad_simplex(tmp_path):
     write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
                [[1, 0, 0, 0, 0.5, 0.3]])
     with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_rejects_non_finite_probabilities(tmp_path, bad):
+    # nan < 0 and a sum of nan both compare false, so a nan passed the simplex check
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1,p_2",
+               [[1, 0, 0, 0, 0.2, 0.3, 0.5],
+                [1, 0, 0, 1, bad, 0.5, 0.5]])
+    with pytest.raises(StreamFormatError, match="line 3: .*non-finite"):
         list(load_stream(path))
 
 
