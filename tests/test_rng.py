@@ -4,16 +4,15 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from gmocp.rng import stream_rng
 
 
-@pytest.mark.parametrize("master_seed, counters", [(-1, (3,)), (0, (np.array([1, -2]),))])
+@pytest.mark.parametrize("master_seed, counters", [(-1, (3,)), (0, (1, -2))])
 def test_stream_rng_rejects_negative_values(master_seed, counters):
     with pytest.raises(ValueError, match="non-negative"):
-        stream_rng(master_seed, "x", *[np.min(c) for c in counters])
+        stream_rng(master_seed, "x", *counters)
 
 
 def test_importing_gmocp_does_not_load_numpy_random():
