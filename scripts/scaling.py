@@ -1,4 +1,4 @@
-"""Per-step cost of gmocp N3J1, egmocp N5J4 and mocp against the number of models M.
+"""Per-step cost of gmocp N3J1, egmocp N5J4, mocp and coma against the number of models M.
 
 Usage (from the repository root):
 
@@ -21,7 +21,7 @@ import os
 import subprocess
 import sys
 
-POLICIES = (("gmocp", 3, 1), ("egmocp", 5, 4), ("mocp", None, None))
+POLICIES = (("gmocp", 3, 1), ("egmocp", 5, 4), ("mocp", None, None), ("coma", None, None))
 MODELS = (8, 16, 32, 64, 128, 256, 1024)
 LABELS, STEPS, SEED = 20, 2000, 0
 

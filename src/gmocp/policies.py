@@ -25,13 +25,24 @@ the same order, so every output is bit-identical (for scores that are not NaN:
 a NaN probability makes a NaN score, which insort and list.sort may place
 differently). MOCP (whose subset is every model), COMA, ACI, tracked
 alpha_bar and small pools insert each score as it comes.
+
+Full-information steps: MOCP updates all M models in one array pass
+(``MOCPPolicy._update``). One ``bisect_left`` per store ranks the M scores;
+the pinball losses, SF-OGD steps and weight products are numpy operations
+that round as the scalar helpers do. Each weight factor is ``math.exp`` per
+model: numpy's vectorized exp rounds about one float64 argument in twenty
+differently on AVX-512 builds, which would change the weights. COMA takes
+its M thresholds and then scores all M x K labels in one ``all_label_scores``
+call. The graph policies keep the scalar loop over their subset of at most N
+models: the pass's dozen numpy calls cost more than a loop over a few models
+(at M=8, MOCP's pass takes about 14 us and the scalar loop about 9 us).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,8 +166,9 @@ class _BasePolicy:
     """Per-model state: weights ``w``, levels ``alphas``, their SF-OGD sums of squared
     gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
-    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``, and a
-    subclass whose steps read only a subset of the stores may set ``_log``.
+    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``, may replace
+    ``_update``, and a subclass whose steps read only a subset of the stores may set
+    ``_log``.
     """
 
     name = "base"
@@ -220,29 +232,20 @@ class _BasePolicy:
         """(node, subset, inclusion probability of each subset model, chosen model)."""
         raise NotImplementedError
 
-    def step(self, probs, true_label: int):
+    def _update(self, probs, u_vec, pred, subset, inclusion, chosen, scores):
+        """Update the subset's weights and levels from this step's scores (M,), then
+        store every score; returns the chosen model's loss and, when tracked, every
+        model's alpha_bar."""
         cfg = self.cfg
-        start = time.perf_counter_ns()
-        probs = self._checked(probs, true_label)
-        self.t += 1
-        u_vec = self._draw_u()
-        node, subset, inclusion, chosen = self._select()
-        if self._log is not None:
-            self._log.sync(subset)  # chosen is in subset
-
         w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self._stores
-        threshold = quantile_threshold(stores[chosen], alphas[chosen])
-        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
-        err = int(true_label not in pred)
-
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        alpha_bars = tuple(map(optimal_alpha_bar, stores, scores)) if cfg.track_alpha_bar else None
+        values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
+        alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
             a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
-                stores[m], scores[m]
+                stores[m], values[m]
             )
             loss = pinball_loss(a_bar, alpha, target)
             if m == chosen:
@@ -259,10 +262,29 @@ class _BasePolicy:
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
         if self._log is None:
-            for store, score in zip(stores, scores):
+            for store, score in zip(stores, values):
                 store.insert(score)
         else:
             self._log.append(scores)
+        return chosen_loss, alpha_bars
+
+    def step(self, probs, true_label: int):
+        cfg = self.cfg
+        start = time.perf_counter_ns()
+        probs = self._checked(probs, true_label)
+        self.t += 1
+        u_vec = self._draw_u()
+        node, subset, inclusion, chosen = self._select()
+        if self._log is not None:
+            self._log.sync(subset)  # chosen is in subset
+
+        threshold = quantile_threshold(self._stores[chosen], self.alphas[chosen])
+        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
+        err = int(true_label not in pred)
+
+        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
+        chosen_loss, alpha_bars = self._update(probs, u_vec, pred, subset, inclusion, chosen,
+                                               scores)
         self._rescale_weights()
 
         record = StepRecord(
@@ -336,6 +358,33 @@ class MOCPPolicy(_BasePolicy):
         w = self.weights
         return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
+    def _update(self, probs, u_vec, pred, subset, inclusion, chosen, scores):
+        """``_BasePolicy._update`` for every model at once, in one array pass.
+
+        Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
+        Each store's count is its own list's length (a store put in ``calibrations``
+        may hold any number of scores). The weight factors use ``math.exp`` per model:
+        ``np.exp`` rounds some arguments differently, which would change the weights.
+        """
+        cfg = self.cfg
+        lists = [store.scores for store in self._stores]
+        values = scores.tolist()
+        ranks = np.fromiter(map(bisect_left, lists, values), float, len(values))
+        counts = np.fromiter(map(len, lists), float, len(values))
+        alpha_bars = 1.0 - ranks / (counts + 1.0)  # optimal_alpha_bar; 1.0 for an empty store
+        alphas = np.array(self.alphas)
+        diff = alpha_bars - alphas
+        losses = cfg.target_alpha * diff - np.where(diff < 0.0, diff, 0.0)  # pinball_loss
+        factors = np.fromiter(map(math.exp, (-cfg.epsilon * losses).tolist()), float, len(values))
+        self.w = (np.array(self.w) * factors).tolist()
+        g = (alpha_bars < alphas) - cfg.target_alpha  # sfogd_update
+        grad_sq = np.array(self.grad_sq) + g * g
+        self.alphas = (alphas - cfg.eta * g / np.sqrt(grad_sq)).tolist()
+        self.grad_sq = grad_sq.tolist()
+        for stored, score in zip(lists, values):
+            insort(stored, score)
+        return float(losses[chosen]), tuple(alpha_bars.tolist()) if cfg.track_alpha_bar else None
+
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
@@ -367,22 +416,20 @@ class COMAPolicy(_BasePolicy):
         u_vec = self._draw_u()
         vote_u = float(self._rng_vote.random())
 
-        k = cfg.score.n_labels
-        membership = np.zeros((cfg.n_models, k), dtype=bool)
-        for m, store in enumerate(self._stores):
-            thr = quantile_threshold(store, self.shared_alpha)
-            membership[m] = all_label_scores(probs[m], u_vec[m], cfg.score) <= thr
+        thresholds = [quantile_threshold(store, self.shared_alpha) for store in self._stores]
+        membership = all_label_scores(probs, u_vec, cfg.score) <= np.array(thresholds)[:, None]
 
         weights = self.weights
         labels = vote_set(membership, weights / weights.sum(), vote_u)
         pred = PredictionSet(labels)
         err = int(true_label not in pred)
 
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        w = self.w
-        for m, store in enumerate(self._stores):
-            w[m] *= math.exp(-cfg.coma_gamma * int(membership[m].sum()))
-            store.insert(scores[m])
+        scores = all_model_scores(probs, true_label, u_vec, cfg.score).tolist()
+        gamma = cfg.coma_gamma
+        self.w = [w * math.exp(-gamma * size)
+                  for w, size in zip(self.w, membership.sum(axis=1).tolist())]
+        for store, score in zip(self._stores, scores):
+            store.insert(score)
         self._rescale_weights()
         self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
             self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)

@@ -165,7 +165,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     stream_doc = top.pop("stream", {})
     if "file" in stream_doc:
         path = _settings(stream_doc, "stream", {"file": "str"})["file"]
-        top["stream_path"] = os.path.join(base_dir, path)
+        # normalized, so that one file reached through ".." from two directories has one id
+        top["stream_path"] = os.path.normpath(os.path.join(base_dir, path))
         first = next(load_stream(top["stream_path"]))
         n_models, n_labels = first.probs.shape
     else:

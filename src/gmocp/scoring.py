@@ -90,16 +90,39 @@ def nonconformity_score(p: np.ndarray, y: int, u: float, params: ScoreParams) ->
     return params.xi * math.sqrt(max(k_y - params.k_reg, 0)) + u * py + rho
 
 
-def all_label_scores(p: np.ndarray, u: float, params: ScoreParams) -> np.ndarray:
-    """Vectorized nonconformity_score over every candidate label."""
+def all_label_scores(p: np.ndarray, u, params: ScoreParams) -> np.ndarray:
+    """Vectorized nonconformity_score over every candidate label.
+
+    ``p`` is one probability vector (K,) with a scalar ``u``, or S of them (S, K) with
+    one tie-break each in ``u`` (S,); each row of the (S, K) result equals, bit for
+    bit, the (K,) result for that row alone.
+    """
     p = np.asarray(p, dtype=float)
-    asc = np.sort(p)
-    n = len(p)
-    # count of entries >= p[y] (ties inclusive)
-    k = n - np.searchsorted(asc, p, side="left")
-    # mass of entries strictly greater than p[y]
-    csum = np.concatenate(([0.0], np.cumsum(asc)))
-    rho = csum[-1] - csum[np.searchsorted(asc, p, side="right")]
+    if p.ndim == 1:
+        asc = np.sort(p)
+        # count of entries >= p[y] (ties inclusive)
+        k = len(p) - np.searchsorted(asc, p, side="left")
+        # mass of entries strictly greater than p[y]
+        csum = np.concatenate(([0.0], np.cumsum(asc)))
+        rho = csum[-1] - csum[np.searchsorted(asc, p, side="right")]
+    else:
+        rows, n = p.shape
+        asc = np.sort(p, axis=1)
+        # complex numbers order by (real, imag): keys (row, value) put the rows one after
+        # another, each in ascending order, so one search ranks every row in its own row
+        keys = np.empty((rows, n), dtype=complex)
+        keys.real = np.arange(rows)[:, None]
+        keys.imag = asc
+        queries = keys.copy()
+        queries.imag = p
+        keys, queries = keys.ravel(), queries.ravel()
+        offset = np.arange(0, rows * n, n)[:, None]
+        k = n - (np.searchsorted(keys, queries, side="left").reshape(rows, n) - offset)
+        right = np.searchsorted(keys, queries, side="right").reshape(rows, n) - offset
+        csum = np.zeros((rows, n + 1))
+        np.cumsum(asc, axis=1, out=csum[:, 1:])
+        rho = csum[:, -1:] - np.take_along_axis(csum, right, axis=1)
+        u = np.asarray(u, dtype=float)[:, None]
     return params.xi * np.sqrt(np.maximum(k - params.k_reg, 0)) + u * p + rho
 
 

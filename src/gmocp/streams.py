@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,18 @@ class StreamConfig:
     def n_models(self) -> int:
         return len(self.model_profiles)
 
+    @cached_property
+    def profile_columns(self) -> tuple:
+        """Noise scale, quality signal and temperature of each model, as read-only
+        (M, 1), (M,) and (M, 1) arrays, built on first use and kept with the config."""
+        profiles = self.model_profiles
+        columns = (np.array([[p.noise_scale] for p in profiles]),
+                   np.array([QUALITY_SIGNAL[p.quality] for p in profiles]),
+                   np.array([[p.temperature] for p in profiles]))
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
 
 @dataclass(frozen=True)
 class StreamStep:
@@ -107,14 +120,6 @@ def severity_at(t: int, schedule: str, batch_size: int) -> int:
     return pos if pos <= MAX_SEVERITY else 2 * MAX_SEVERITY - pos
 
 
-def _profile_columns(cfg: StreamConfig):
-    """Noise scale, quality signal and temperature of each model, as (M, 1), (M,), (M, 1)."""
-    profiles = cfg.model_profiles
-    return (np.array([[p.noise_scale] for p in profiles]),
-            np.array([QUALITY_SIGNAL[p.quality] for p in profiles]),
-            np.array([[p.temperature] for p in profiles]))
-
-
 def _steps(cfg: StreamConfig, master_seed: int, start: int, stop: int):
     """Steps start..stop-1, their softmax taken in one pass.
 
@@ -132,7 +137,7 @@ def _steps(cfg: StreamConfig, master_seed: int, start: int, stop: int):
         rng.standard_normal(out=row)
     severities = [severity_at(t, cfg.schedule, cfg.batch_size) for t in range(start, stop)]
 
-    noise, signal, temperature = _profile_columns(cfg)
+    noise, signal, temperature = cfg.profile_columns
     logits *= noise * (1.0 + np.array(severities, dtype=float))[:, None, None]
     logits[np.arange(n), :, labels] += signal
     logits /= temperature

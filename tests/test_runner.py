@@ -235,6 +235,19 @@ def test_config_id_hashes_the_stream_version_of_synthetic_streams(tmp_path, monk
     assert from_file.config_id() == ids[1]
 
 
+def test_config_id_of_a_stream_file_does_not_depend_on_the_config_directory(tmp_path):
+    """One stream file reached as ``../s.csv`` from two sibling directories has one id."""
+    (tmp_path / "s.csv").write_text("t,true_label,severity,model_id,p_0,p_1\n"
+                                    "1,0,0,0,0.5,0.5\n")
+    doc = {"policy": "mocp", "stream": {"file": "../s.csv"}}
+    configs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        configs.append(load_config(str(write_config(tmp_path / name, doc))))
+    assert configs[0].stream_path == configs[1].stream_path == str(tmp_path / "s.csv")
+    assert configs[0].config_id() == configs[1].config_id()
+
+
 def test_width_cap_resume_runs_the_new_config(tmp_path):
     """width_cap sets width_under_k, so configs differing only in it resume apart."""
     def mocp(width_cap):

@@ -85,6 +85,27 @@ def test_vectorized_scores_match_scalar(p, u):
         assert fast[y] == pytest.approx(nonconformity_score(p, y, u, params), abs=1e-12)
 
 
+@pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
+def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
+    """The (S, K) path gives each row bit for bit what the (K,) path gives it,
+    with tied and zero probabilities among the rows."""
+    rng = np.random.default_rng(n_labels)
+    rows = [rng.dirichlet(np.ones(n_labels)),
+            rng.multinomial(8, np.full(n_labels, 1 / n_labels)) / 8.0,  # ties and zeros
+            np.full(n_labels, 1 / n_labels),
+            np.eye(n_labels)[0],
+            rng.dirichlet(np.full(n_labels, 0.05))]
+    for probs in (np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])):
+        u = rng.random(len(probs))
+        u[0] = 0.0
+        for params in (ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels),
+                       ScoreParams(xi=0.0, k_reg=0, n_labels=n_labels)):
+            batch = all_label_scores(probs, u, params)
+            single = np.array([all_label_scores(p, v, params) for p, v in zip(probs, u)])
+            assert batch.shape == probs.shape
+            assert batch.tobytes() == single.tobytes()
+
+
 def test_all_model_scores_matches_scalar():
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(6), size=4)
