@@ -9,7 +9,7 @@ models; the node PMF and per-model inclusion probabilities follow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,17 +40,36 @@ class GraphParams:
         return GraphParams(n_selective, max_links, (float(eta_e),) * n_selective)
 
 
-@dataclass
 class FeedbackGraph:
-    adjacency: np.ndarray  # (J, M) bool
-    connect_pmf: np.ndarray  # (J, M), row j is the PMF node j drew from
-    node_weights: np.ndarray  # (J,)
-    node_pmf: np.ndarray  # (J,)
-    n_trials: int
+    """A drawn graph: ``adjacency`` (J, M) bool, ``connect_pmf`` (J, M) whose row j is
+    the PMF node j drew from, ``node_weights`` (J,), the summed weights of each node's
+    models, ``node_pmf`` (J,) and ``n_trials`` (N).
+
+    Built from the model ``weights`` instead of node weights and PMF, it computes
+    those two from ``weights`` on first read (so the array must not change until
+    then); a step with one selective node never reads them.
+    """
+
+    def __init__(self, adjacency, connect_pmf, node_weights=None, node_pmf=None,
+                 n_trials=1, *, weights=None):
+        self.adjacency, self.connect_pmf, self.n_trials = adjacency, connect_pmf, n_trials
+        self._weights = weights
+        if node_weights is not None:
+            self.node_weights = node_weights
+        if node_pmf is not None:
+            self.node_pmf = node_pmf
+
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        return self.adjacency @ self._weights
+
+    @cached_property
+    def node_pmf(self) -> np.ndarray:
+        return self.node_weights / self.node_weights.sum()
 
     def inclusion_of(self, m: int) -> float:
         """Inclusion probability of a single model without the full (J, M) pass."""
-        if len(self.node_pmf) == 1:
+        if len(self.adjacency) == 1:
             return 1.0 - (1.0 - float(self.connect_pmf[0, m])) ** self.n_trials
         hit = 1.0 - (1.0 - self.connect_pmf[:, m]) ** self.n_trials
         return float(self.node_pmf @ hit)
@@ -92,24 +111,24 @@ def generate_graph(weights: np.ndarray, params: GraphParams, rng: np.random.Gene
         raise ValueError("model weights must all be positive")
     scale, floor = _explore_consts(params, m)
     pmf = scale * (w / total) + floor
-    cdf = np.cumsum(pmf, axis=1)
+    cdf = np.add.accumulate(pmf, axis=1)
     draws = rng.random((j, n))  # row-major, same order as one row per node
     adjacency = np.zeros((j, m), dtype=bool)
-    for row, cdf_row, draw_row in zip(adjacency, cdf, draws):
-        row[np.minimum(cdf_row.searchsorted(draw_row, side="right"), m - 1)] = True
-    node_weights = adjacency @ w
-    node_pmf = node_weights / node_weights.sum()
-    return FeedbackGraph(adjacency, pmf, node_weights, node_pmf, n)
+    # searching all but the last CDF entry clamps a draw above a rounded-down total to m-1
+    for r in range(j):
+        adjacency[r, cdf[r, :-1].searchsorted(draws[r], side="right")] = True
+    return FeedbackGraph(adjacency, pmf, n_trials=n, weights=w)
 
 
 def select_node(graph: FeedbackGraph, rng: np.random.Generator) -> int:
-    draw = rng.random()
-    if len(graph.node_pmf) == 1:
+    """A node drawn from the node PMF with one uniform; a one-node graph draws none."""
+    if len(graph.adjacency) == 1:
         return 0
+    draw = rng.random()
     cdf = np.cumsum(graph.node_pmf)
     return min(int(np.searchsorted(cdf, draw, side="right")), len(cdf) - 1)
 
 
 def effective_subset(graph: FeedbackGraph, node: int) -> tuple:
     """Model indices connected to the given selective node, ascending."""
-    return tuple(np.flatnonzero(graph.adjacency[node]).tolist())
+    return tuple(graph.adjacency[node].nonzero()[0].tolist())

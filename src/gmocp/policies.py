@@ -9,7 +9,7 @@ policies built with the same seed consume identical draws in identical order.
 Per-step draw order (fixed, relied upon by replay tests):
   1. one tie-break uniform per model,
   2. graph rows (N uniforms per selective node, GMOCP/EGMOCP only),
-  3. one uniform for node selection (GMOCP/EGMOCP only),
+  3. one uniform for node selection (GMOCP/EGMOCP with J > 1; one node needs none),
   4. one uniform for model selection (not COMA/ACI),
   5. one uniform for the voting threshold (COMA only).
 
@@ -26,16 +26,13 @@ a NaN probability makes a NaN score, which insort and list.sort may place
 differently). MOCP (whose subset is every model), COMA, ACI, tracked
 alpha_bar and small pools insert each score as it comes.
 
-Full-information steps: MOCP updates all M models in one array pass
-(``MOCPPolicy._update``). One ``bisect_left`` per store ranks the M scores;
-the pinball losses, SF-OGD steps and weight products are numpy operations
-that round as the scalar helpers do. Each weight factor is ``math.exp`` per
-model: numpy's vectorized exp rounds about one float64 argument in twenty
-differently on AVX-512 builds, which would change the weights. COMA takes
-its M thresholds and then scores all M x K labels in one ``all_label_scores``
-call. The graph policies keep the scalar loop over their subset of at most N
-models: the pass's dozen numpy calls cost more than a loop over a few models
-(at M=8, MOCP's pass takes about 14 us and the scalar loop about 9 us).
+Full-information steps: MOCP updates every model in one plain loop
+(``MOCPPolicy._update``) that writes out ``optimal_alpha_bar``, ``pinball_loss``
+and ``sfogd_update`` on Python floats, with ``math.exp`` for each weight factor,
+so it rounds as the helpers do; numpy's vectorized exp rounds some float64
+arguments differently and would change the weights. COMA takes its M thresholds
+and then scores all M x K labels in one ``all_label_scores`` call. The graph
+policies call the helpers for their subset of at most N models.
 """
 
 from __future__ import annotations
@@ -263,7 +260,7 @@ class _BasePolicy:
 
         if self._log is None:
             for store, score in zip(stores, values):
-                store.insert(score)
+                insort(store.scores, score)
         else:
             self._log.append(scores)
         return chosen_loss, alpha_bars
@@ -359,31 +356,37 @@ class MOCPPolicy(_BasePolicy):
         return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
     def _update(self, probs, u_vec, pred, subset, inclusion, chosen, scores):
-        """``_BasePolicy._update`` for every model at once, in one array pass.
+        """``_BasePolicy._update`` for every model, with the helpers written out.
 
         Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
-        Each store's count is its own list's length (a store put in ``calibrations``
-        may hold any number of scores). The weight factors use ``math.exp`` per model:
-        ``np.exp`` rounds some arguments differently, which would change the weights.
+        Each line rounds as the helper it stands for: ``optimal_alpha_bar``,
+        ``pinball_loss``, ``sfogd_update``. A store's count is its own list's length
+        (a store put in ``calibrations`` may hold any number of scores), and every
+        store is ranked before any score goes in, as in the base update.
         """
         cfg = self.cfg
+        target, eta, neg_eps = cfg.target_alpha, cfg.eta, -cfg.epsilon
+        w, alphas, grad_sq = self.w, self.alphas, self.grad_sq
+        exp, sqrt = math.exp, math.sqrt
         lists = [store.scores for store in self._stores]
         values = scores.tolist()
-        ranks = np.fromiter(map(bisect_left, lists, values), float, len(values))
-        counts = np.fromiter(map(len, lists), float, len(values))
-        alpha_bars = 1.0 - ranks / (counts + 1.0)  # optimal_alpha_bar; 1.0 for an empty store
-        alphas = np.array(self.alphas)
-        diff = alpha_bars - alphas
-        losses = cfg.target_alpha * diff - np.where(diff < 0.0, diff, 0.0)  # pinball_loss
-        factors = np.fromiter(map(math.exp, (-cfg.epsilon * losses).tolist()), float, len(values))
-        self.w = (np.array(self.w) * factors).tolist()
-        g = (alpha_bars < alphas) - cfg.target_alpha  # sfogd_update
-        grad_sq = np.array(self.grad_sq) + g * g
-        self.alphas = (alphas - cfg.eta * g / np.sqrt(grad_sq)).tolist()
-        self.grad_sq = grad_sq.tolist()
+        a_bars = []
+        for m, (stored, score) in enumerate(zip(lists, values)):
+            a_bar = 1.0 - bisect_left(stored, score) / (len(stored) + 1)
+            a_bars.append(a_bar)
+            alpha = alphas[m]
+            diff = a_bar - alpha
+            loss = target * diff - (diff if diff < 0.0 else 0.0)
+            if m == chosen:
+                chosen_loss = loss
+            w[m] *= exp(neg_eps * loss)
+            g = (1.0 if a_bar < alpha else 0.0) - target
+            gs = grad_sq[m] + g * g
+            grad_sq[m] = gs
+            alphas[m] = alpha - eta * g / sqrt(gs)
         for stored, score in zip(lists, values):
             insort(stored, score)
-        return float(losses[chosen]), tuple(alpha_bars.tolist()) if cfg.track_alpha_bar else None
+        return chosen_loss, tuple(a_bars) if cfg.track_alpha_bar else None
 
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 

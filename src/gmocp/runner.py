@@ -165,8 +165,9 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     stream_doc = top.pop("stream", {})
     if "file" in stream_doc:
         path = _settings(stream_doc, "stream", {"file": "str"})["file"]
-        # normalized, so that one file reached through ".." from two directories has one id
-        top["stream_path"] = os.path.normpath(os.path.join(base_dir, path))
+        # resolved, so that one file reached by two paths has one id; symlinks are
+        # resolved before "..", as the OS does when it opens the path
+        top["stream_path"] = os.path.realpath(os.path.join(base_dir, path))
         first = next(load_stream(top["stream_path"]))
         n_models, n_labels = first.probs.shape
     else:

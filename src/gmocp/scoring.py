@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,14 @@ class ScoreParams:
         # k_reg above n_labels is harmless (the rank penalty clamps at zero)
         if self.k_reg < 0:
             raise ValueError(f"k_reg must be >= 0, got {self.k_reg}")
+
+    @cached_property
+    def rank_penalty(self) -> np.ndarray:
+        """``xi * sqrt(max(k - k_reg, 0))`` for every rank k in [0, n_labels], computed
+        as the vectorized scores compute it, so indexing it gives the same floats."""
+        penalty = self.xi * np.sqrt(np.maximum(np.arange(self.n_labels + 1) - self.k_reg, 0))
+        penalty.flags.writeable = False
+        return penalty
 
 
 @dataclass(frozen=True)
@@ -95,35 +104,41 @@ def all_label_scores(p: np.ndarray, u, params: ScoreParams) -> np.ndarray:
 
     ``p`` is one probability vector (K,) with a scalar ``u``, or S of them (S, K) with
     one tie-break each in ``u`` (S,); each row of the (S, K) result equals, bit for
-    bit, the (K,) result for that row alone.
+    bit, the (K,) result for that row alone. K is at most ``params.n_labels``.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        asc = np.sort(p)
-        # count of entries >= p[y] (ties inclusive)
-        k = len(p) - np.searchsorted(asc, p, side="left")
-        # mass of entries strictly greater than p[y]
-        csum = np.concatenate(([0.0], np.cumsum(asc)))
-        rho = csum[-1] - csum[np.searchsorted(asc, p, side="right")]
-    else:
-        rows, n = p.shape
-        asc = np.sort(p, axis=1)
-        # complex numbers order by (real, imag): keys (row, value) put the rows one after
-        # another, each in ascending order, so one search ranks every row in its own row
-        keys = np.empty((rows, n), dtype=complex)
-        keys.real = np.arange(rows)[:, None]
-        keys.imag = asc
-        queries = keys.copy()
-        queries.imag = p
-        keys, queries = keys.ravel(), queries.ravel()
-        offset = np.arange(0, rows * n, n)[:, None]
-        k = n - (np.searchsorted(keys, queries, side="left").reshape(rows, n) - offset)
-        right = np.searchsorted(keys, queries, side="right").reshape(rows, n) - offset
-        csum = np.zeros((rows, n + 1))
-        np.cumsum(asc, axis=1, out=csum[:, 1:])
-        rho = csum[:, -1:] - np.take_along_axis(csum, right, axis=1)
-        u = np.asarray(u, dtype=float)[:, None]
-    return params.xi * np.sqrt(np.maximum(k - params.k_reg, 0)) + u * p + rho
+    if p.ndim == 2:
+        return _label_scores_of_rows(p, np.asarray(u, dtype=float)[:, None], params)
+    n = len(p)
+    asc = np.sort(p)
+    # count of entries >= p[y] (ties inclusive)
+    k = n - asc.searchsorted(p, side="left")
+    # mass of entries strictly greater than p[y]
+    csum = np.zeros(n + 1)
+    asc.cumsum(out=csum[1:])
+    rho = csum[n] - csum[asc.searchsorted(p, side="right")]
+    return params.rank_penalty[k] + u * p + rho
+
+
+def _label_scores_of_rows(p: np.ndarray, u: np.ndarray, params: ScoreParams) -> np.ndarray:
+    """``all_label_scores`` of each row of ``p`` (S, K), with tie-breaks ``u`` (S, 1)."""
+    rows, n = p.shape
+    asc = np.sort(p, axis=1)
+    # complex numbers order by (real, imag): keys (row, value) put the rows one after
+    # another, each in ascending order, so one search ranks every row in its own row
+    keys = np.empty((rows, n), dtype=complex)
+    keys.real = np.arange(rows)[:, None]
+    keys.imag = asc
+    queries = keys.copy()
+    queries.imag = p
+    keys, queries = keys.ravel(), queries.ravel()
+    offset = np.arange(0, rows * n, n)[:, None]
+    k = n - (np.searchsorted(keys, queries, side="left").reshape(rows, n) - offset)
+    right = np.searchsorted(keys, queries, side="right").reshape(rows, n) - offset
+    csum = np.zeros((rows, n + 1))
+    np.cumsum(asc, axis=1, out=csum[:, 1:])
+    rho = csum[:, -1:] - np.take_along_axis(csum, right, axis=1)
+    return params.rank_penalty[k] + u * p + rho
 
 
 def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: ScoreParams) -> np.ndarray:
@@ -133,9 +148,10 @@ def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: Score
     """
     probs = np.asarray(probs, dtype=float)
     py = probs[:, y]
-    k_y = np.count_nonzero(probs >= py[:, None], axis=1)
-    rho = np.sum(np.where(probs > py[:, None], probs, 0.0), axis=1)
-    return params.xi * np.sqrt(np.maximum(k_y - params.k_reg, 0)) + u_vec * py + rho
+    column = py[:, None]
+    k_y = (probs >= column).sum(axis=1)
+    rho = np.where(probs > column, probs, 0.0).sum(axis=1)
+    return params.rank_penalty[k_y] + u_vec * py + rho
 
 
 def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
@@ -158,8 +174,7 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
 def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> PredictionSet:
     """All labels whose score is at most the threshold (shared u across labels)."""
     scores = all_label_scores(p, u, params)
-    members = np.flatnonzero(scores <= threshold)
-    return PredictionSet(frozenset(int(m) for m in members))
+    return PredictionSet(frozenset((scores <= threshold).nonzero()[0].tolist()))
 
 
 def prediction_set_size(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> int:

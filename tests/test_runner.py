@@ -244,8 +244,21 @@ def test_config_id_of_a_stream_file_does_not_depend_on_the_config_directory(tmp_
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
         configs.append(load_config(str(write_config(tmp_path / name, doc))))
-    assert configs[0].stream_path == configs[1].stream_path == str(tmp_path / "s.csv")
+    assert configs[0].stream_path == configs[1].stream_path == str((tmp_path / "s.csv").resolve())
     assert configs[0].config_id() == configs[1].config_id()
+
+
+def test_stream_file_behind_a_symlinked_config_directory_is_the_one_the_os_opens(tmp_path):
+    """``..`` after a symlinked directory leads out of the link's target, not its parent."""
+    header = "t,true_label,severity,model_id,p_0,p_1\n"
+    (tmp_path / "shared" / "configs").mkdir(parents=True)
+    (tmp_path / "shared" / "s.csv").write_text(header + "1,0,0,0,0.5,0.5\n")
+    (tmp_path / "s.csv").write_text(header + "1,0,0,0,0.5,0.5\n1,0,0,1,0.5,0.5\n")
+    (tmp_path / "configs").symlink_to(tmp_path / "shared" / "configs")
+    doc = {"policy": "mocp", "stream": {"file": "../s.csv"}}
+    cfg = load_config(str(write_config(tmp_path / "configs", doc)))
+    assert cfg.stream_path == str((tmp_path / "shared" / "s.csv").resolve())
+    assert cfg.policy_params.n_models == 1
 
 
 def test_width_cap_resume_runs_the_new_config(tmp_path):
