@@ -14,21 +14,25 @@ Per-step draw order (fixed, relied upon by replay tests):
   5. one uniform for the voting threshold (COMA only).
 
 Deferred score log: a step scores the true label under every model, and every
-score goes into that model's sorted calibration store. When a step reads only
-its subset's stores (GMOCP/EGMOCP with M at least ``DEFER_MODELS_PER_LINK``
-times the subset bound N, and ``track_alpha_bar`` off), the step writes its M
-scores as one row of a ``ScoreLog`` in one numpy assignment, and a store is
-brought up to date only just before it is read: the subset's stores each step,
-and every store when the log fills or ``policy.calibrations`` is read. Every
-store holds the same multiset at every read as with one insert per score, in
-the same order, so every output is bit-identical (for scores that are not NaN:
-a NaN probability makes a NaN score, which insort and list.sort may place
-differently). MOCP (whose subset is every model), COMA, ACI, tracked
-alpha_bar and small pools insert each score as it comes.
+score goes into that model's calibration store, a sorted run of float64 blocks
+(``scoring.CalibrationStore``). When a step reads only its subset's stores
+(GMOCP/EGMOCP with M at least ``DEFER_MODELS_PER_LINK`` times the subset bound
+N, and ``track_alpha_bar`` off), the step writes its M scores as one row of a
+``ScoreLog`` in one numpy assignment, and a store is brought up to date only
+just before it is read, by one ``CalibrationStore.merge`` of its pending
+scores (a stable sort, then one numpy search and insert per block they land
+in): the subset's stores each step, and every store when the log fills or
+``policy.calibrations`` is read. Every store holds the same scores in the same
+order at every read as with one insert per score, so every output is
+bit-identical (for scores that are not NaN: a NaN probability makes a NaN
+score, which an insert and a merge may place differently). MOCP (whose subset
+is every model), COMA, ACI, tracked alpha_bar and small pools insert each
+score as it comes (``scoring.insert_each``).
 
 Full-information steps: MOCP updates every model in one plain loop
-(``MOCPPolicy._update``) that writes out ``optimal_alpha_bar``, ``pinball_loss``
-and ``sfogd_update`` on Python floats, with ``math.exp`` for each weight factor,
+(``MOCPPolicy._update``) over the levels ``scoring.rank_fractions`` gives
+(``optimal_alpha_bar`` of every store), and writes out ``pinball_loss`` and
+``sfogd_update`` on Python floats, with ``math.exp`` for each weight factor,
 so it rounds as the helpers do; numpy's vectorized exp rounds some float64
 arguments differently and would change the weights. COMA takes its M thresholds
 and then scores all M x K labels in one ``all_label_scores`` call. The graph
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,15 +57,19 @@ from .scoring import (
     all_label_scores,
     all_model_scores,
     build_prediction_set,
+    insert_each,
     nonconformity_score,
     optimal_alpha_bar,
     prediction_set_size,
     quantile_threshold,
+    rank_fractions,
 )
 
 
 LOG_ROWS = 1024  # steps a ScoreLog holds before it brings every store up to date
-SORT_FROM = 16  # pending scores from which one list.sort() beats an insort each
+# EGMOCP sizes the sets of this many other subset models or more in one (S, K) call;
+# below, a (K,) call per model is cheaper (about 17 us per call against 5 per model, K=20)
+BATCH_ROWS_FROM = 4
 # graph policies defer when M >= this times N: a store is then read about once in
 # M/N >= 32 steps, where merging its pending scores at once beats eager inserts
 DEFER_MODELS_PER_LINK = 32
@@ -143,17 +150,9 @@ class ScoreLog:
         log, rows, synced, stores = self._log, self._rows, self._synced, self.stores
         for m in models:
             start = synced[m]
-            if start == rows:
-                continue
-            pending = log[start:rows, m].tolist()
-            scores = stores[m].scores
-            if len(pending) < SORT_FROM:
-                for score in pending:
-                    insort(scores, score)
-            else:  # stable: equal scores keep their insertion order, as insort's do
-                scores.extend(pending)
-                scores.sort()
-            synced[m] = rows
+            if start < rows:
+                stores[m].merge(log[start:rows, m])
+                synced[m] = rows
 
     def sync_all(self) -> None:
         self.sync(range(len(self.stores)))
@@ -239,6 +238,16 @@ class _BasePolicy:
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
+        if beta > 0.0:  # each subset model's set size at its level before this update
+            others = [m for m in subset if m != chosen]
+            thresholds = [quantile_threshold(stores[m], alphas[m]) for m in others]
+            if len(others) < BATCH_ROWS_FROM:
+                sizes = [prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
+                         for m, thr in zip(others, thresholds)]
+            else:
+                sizes = prediction_set_size(probs[others], thresholds, u_vec[others], cfg.score)
+            sizes = dict(zip(others, sizes))
+            sizes[chosen] = pred.size
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
             a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
@@ -249,18 +258,12 @@ class _BasePolicy:
                 chosen_loss = loss
             exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
-                if m == chosen:
-                    size = pred.size
-                else:
-                    thr = quantile_threshold(stores[m], alpha)
-                    size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
-                exponent += beta * size
+                exponent += beta * sizes[m]
             w[m] *= math.exp(-epsilon * exponent)
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
         if self._log is None:
-            for store, score in zip(stores, values):
-                insort(store.scores, score)
+            insert_each(stores, values)
         else:
             self._log.append(scores)
         return chosen_loss, alpha_bars
@@ -359,21 +362,18 @@ class MOCPPolicy(_BasePolicy):
         """``_BasePolicy._update`` for every model, with the helpers written out.
 
         Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
-        Each line rounds as the helper it stands for: ``optimal_alpha_bar``,
-        ``pinball_loss``, ``sfogd_update``. A store's count is its own list's length
-        (a store put in ``calibrations`` may hold any number of scores), and every
-        store is ranked before any score goes in, as in the base update.
+        Each line rounds as the helper it stands for: ``pinball_loss``,
+        ``sfogd_update``. Every store is ranked (``rank_fractions``, each store at its
+        own count: a store put in ``calibrations`` may hold any number of scores)
+        before any score goes in, as in the base update.
         """
         cfg = self.cfg
         target, eta, neg_eps = cfg.target_alpha, cfg.eta, -cfg.epsilon
         w, alphas, grad_sq = self.w, self.alphas, self.grad_sq
         exp, sqrt = math.exp, math.sqrt
-        lists = [store.scores for store in self._stores]
         values = scores.tolist()
-        a_bars = []
-        for m, (stored, score) in enumerate(zip(lists, values)):
-            a_bar = 1.0 - bisect_left(stored, score) / (len(stored) + 1)
-            a_bars.append(a_bar)
+        a_bars = rank_fractions(self._stores, values)
+        for m, a_bar in enumerate(a_bars):
             alpha = alphas[m]
             diff = a_bar - alpha
             loss = target * diff - (diff if diff < 0.0 else 0.0)
@@ -384,8 +384,7 @@ class MOCPPolicy(_BasePolicy):
             gs = grad_sq[m] + g * g
             grad_sq[m] = gs
             alphas[m] = alpha - eta * g / sqrt(gs)
-        for stored, score in zip(lists, values):
-            insort(stored, score)
+        insert_each(self._stores, values)
         return chosen_loss, tuple(a_bars) if cfg.track_alpha_bar else None
 
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
@@ -431,8 +430,7 @@ class COMAPolicy(_BasePolicy):
         gamma = cfg.coma_gamma
         self.w = [w * math.exp(-gamma * size)
                   for w, size in zip(self.w, membership.sum(axis=1).tolist())]
-        for store, score in zip(self._stores, scores):
-            store.insert(score)
+        insert_each(self._stores, scores)
         self._rescale_weights()
         self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
             self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)

@@ -9,10 +9,12 @@ probability ranges over [-eta, 1+eta]), which clamps the threshold to +/-inf.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -55,18 +57,174 @@ class PredictionSet:
         return label in self.labels
 
 
-@dataclass
-class CalibrationStore:
-    """Ascending-sorted multiset of historical nonconformity scores."""
+BLOCK_SIZE = 4096  # a store's block splits in two when it passes this many scores
+MERGE_FROM = 32  # scores into one block from which one numpy merge beats an insort each
 
-    scores: list = field(default_factory=list)
+
+class CalibrationStore:
+    """Ascending-sorted multiset of historical nonconformity scores.
+
+    The scores sit in contiguous float64 blocks (``array('d')``), each sorted, one
+    after the other; a block splits in two when it passes ``BLOCK_SIZE``, after
+    the load-factor design of G. Jenks' SortedContainers. ``_mins`` holds the
+    first score of every block but the first; ``_tree``, a Fenwick tree of the block
+    lengths, and ``_n``, the count, are kept only while there are two blocks or
+    more. Rank, insert and the k-th score then cost O(log n + block) at any count
+    n, and a score takes 8 bytes. Equal scores keep their insertion order, as with
+    ``bisect.insort``: a new score goes after the equal ones (0.0 after -0.0 and the
+    reverse). The constructor sorts the scores it is given, stably.
+
+    The store reads as its ascending sequence of floats: ``len``, iteration and
+    ``==`` against a list; ``scores`` is the store itself.
+    """
+
+    __slots__ = ("_blocks", "_mins", "_tree", "_n")
+
+    def __init__(self, scores=()):
+        self._blocks = [array("d", sorted(map(float, scores)))]
+        if len(self._blocks[0]) > BLOCK_SIZE:
+            self._split(0)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the block minima, the Fenwick tree and the count from the blocks."""
+        blocks = self._blocks
+        self._mins = array("d", [block[0] for block in blocks[1:]])
+        tree = array("q", map(len, blocks))
+        self._n = sum(tree)
+        for i in range(1, len(tree) + 1):  # node i covers blocks (i - lowbit(i), i]
+            parent = i + (i & -i)
+            if parent <= len(tree):
+                tree[parent - 1] += tree[i - 1]
+        self._tree = tree
+
+    def _grow(self, i: int, by: int) -> None:
+        """Block i gained ``by`` scores (two or more blocks)."""
+        self._n += by
+        tree, i = self._tree, i + 1
+        while i <= len(tree):
+            tree[i - 1] += by
+            i += i & -i
+
+    def _split(self, i: int) -> None:
+        """Cut block i into equal pieces of ``BLOCK_SIZE // 2`` to ``BLOCK_SIZE`` scores
+        (two, after one insert); the caller reindexes."""
+        block = self._blocks[i]
+        size = -(-len(block) // (len(block) // (BLOCK_SIZE // 2)))  # ceil(len / pieces)
+        self._blocks[i:i + 1] = [block[j:j + size] for j in range(0, len(block), size)]
+
+    def __len__(self) -> int:
+        return self._n if self._mins else len(self._blocks[0])
+
+    count = property(__len__)
 
     @property
-    def count(self) -> int:
-        return len(self.scores)
+    def scores(self) -> CalibrationStore:
+        """The store itself, read as the ascending list of its scores."""
+        return self
+
+    def __iter__(self):
+        return chain.from_iterable(self._blocks)
+
+    def __eq__(self, other):
+        if isinstance(other, (CalibrationStore, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CalibrationStore({list(self)!r})"
+
+    def rank(self, score: float) -> int:
+        """Number of stored scores below ``score`` (``bisect_left``)."""
+        mins = self._mins
+        if not mins:
+            return bisect_left(self._blocks[0], score)
+        i = bisect_left(mins, score)
+        tree, offset, j = self._tree, 0, i  # offset: scores in blocks before i
+        while j:
+            offset += tree[j - 1]
+            j &= j - 1
+        return offset + bisect_left(self._blocks[i], score)
+
+    def kth(self, k: int) -> float:
+        """The (k+1)-th smallest score, 0 <= k < len."""
+        if not self._mins:
+            return self._blocks[0][k]
+        tree, i, step = self._tree, 0, 1 << (len(self._tree).bit_length() - 1)
+        while step:  # the largest i whose first i blocks hold at most k scores
+            j = i + step
+            if j <= len(tree) and tree[j - 1] <= k:
+                i, k = j, k - tree[j - 1]
+            step >>= 1
+        return self._blocks[i][k]
 
     def insert(self, score: float) -> None:
-        bisect.insort(self.scores, float(score))
+        """Add one score after the equal ones already stored (``bisect.insort``)."""
+        insert_each((self,), (float(score),))
+
+    def merge(self, scores) -> None:
+        """Add ``scores``, in the order given, as one ``insert`` each would."""
+        scores = np.asarray(scores, dtype=float)
+        if len(scores) < MERGE_FROM:
+            for score in scores.tolist():
+                self.insert(score)
+            return
+        # stable: equal scores keep their order, and go after the equal ones stored
+        scores = np.sort(scores, kind="stable")
+        # block i takes the scores from _mins[i - 1] (inclusive) up to _mins[i]
+        cuts = [0, *scores.searchsorted(self._mins, side="left").tolist(), len(scores)]
+        blocks, grown = self._blocks, []
+        for i in np.flatnonzero(np.diff(cuts)).tolist():
+            part, block = scores[cuts[i]:cuts[i + 1]], blocks[i]
+            if len(part) < MERGE_FROM:  # in ascending order, as ``insert`` would
+                for score in part.tolist():
+                    insort(block, score)
+            else:
+                stored = np.frombuffer(block, dtype=float)
+                merged = np.insert(stored, stored.searchsorted(part, side="right"), part)
+                blocks[i] = array("d", merged.tobytes())
+            grown.append((i, len(part)))
+        over = [i for i, _ in grown if len(blocks[i]) > BLOCK_SIZE]
+        if over:
+            for i in reversed(over):
+                self._split(i)
+            self._reindex()
+        elif self._mins:
+            for i, by in grown:
+                self._grow(i, by)
+
+
+def rank_fractions(stores, scores) -> list:
+    """``optimal_alpha_bar(store, score)`` for each pair, with one-block stores
+    searched inline."""
+    out, search = [], bisect_left
+    for store, score in zip(stores, scores):
+        if store._mins:
+            out.append(1.0 - store.rank(score) / (store._n + 1))
+        else:
+            block = store._blocks[0]
+            out.append(1.0 - search(block, score) / (len(block) + 1))
+    return out
+
+
+def insert_each(stores, scores) -> None:
+    """Insert each score into its store, after the equal ones already stored (the one
+    insert routine; every eager step runs it for all M stores)."""
+    limit, put, where = BLOCK_SIZE, insort, bisect_right
+    for store, score in zip(stores, scores):
+        if store._mins:
+            i = where(store._mins, score)
+            block = store._blocks[i]
+            put(block, score)
+            store._grow(i, 1)
+        else:
+            i, block = 0, store._blocks[0]
+            put(block, score)
+        if len(block) > limit:
+            store._split(i)
+            store._reindex()
 
 
 def validate_prob_vector(p: np.ndarray, n_labels: int, tol: float = 1e-6) -> np.ndarray:
@@ -168,7 +326,7 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
         return math.inf
     if k <= 0:
         return -math.inf
-    return store.scores[k - 1]
+    return store.kth(k - 1)
 
 
 def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> PredictionSet:
@@ -177,9 +335,18 @@ def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: Scor
     return PredictionSet(frozenset((scores <= threshold).nonzero()[0].tolist()))
 
 
-def prediction_set_size(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> int:
-    """Size of build_prediction_set without materializing the label set."""
-    return int(np.count_nonzero(all_label_scores(p, u, params) <= threshold))
+def prediction_set_size(p: np.ndarray, threshold, u, params: ScoreParams):
+    """Size of build_prediction_set without materializing the label set.
+
+    ``p`` is one probability vector (K,) with a scalar threshold and ``u``, or S of
+    them (S, K) with one threshold and one tie-break each in ``threshold`` and ``u``
+    (S,); the result is then the list of the S sizes each row alone gives.
+    """
+    scores = all_label_scores(p, u, params)
+    if scores.ndim == 2:
+        return np.count_nonzero(scores <= np.asarray(threshold, dtype=float)[:, None],
+                                axis=1).tolist()
+    return int(np.count_nonzero(scores <= threshold))
 
 
 def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:
@@ -193,5 +360,5 @@ def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:
         return 1.0
     t = n + 1
     # 1-based index of the first stored score >= true_score; n+1 if none
-    r = bisect.bisect_left(store.scores, true_score) + 1
+    r = store.rank(true_score) + 1
     return 1.0 - (r - 1) / t

@@ -1,4 +1,4 @@
-"""Independent straight-line reference loops for the MOCP and COMA baselines.
+"""Independent straight-line reference loops for the MOCP, COMA and ACI baselines.
 
 Like ``reference_gmocp``, these use plain python loops and none of the
 package's vectorized helpers, so a trace comparison cross-checks the
@@ -7,7 +7,8 @@ shared with the real policies:
 
   MOCP: one tie-break uniform per model (one for all when ``shared_u``), then
         one uniform for model selection;
-  COMA: the same tie-break uniforms, then one uniform for the voting threshold.
+  COMA: the same tie-break uniforms, then one uniform for the voting threshold;
+  ACI:  one tie-break uniform.
 
 Weights only shrink here (losses and ``coma_gamma`` are non-negative), so the
 power-of-two rescale is a doubling until the largest weight is at least 1.
@@ -120,3 +121,27 @@ def reference_coma(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, coma_
                       "alpha_bars": None, "labels": frozenset(labels)})
     return trace, {"w": weights, "alphas": [alpha0] * n_models, "grad_sq": [0.0] * n_models,
                    "shared_alpha": alpha, "shared_grad_sq": grad_sq}
+
+
+def reference_aci(steps, xi, k_reg, target_alpha=0.1, aci_lr=0.05, alpha_init=None,
+                  master_seed=0):
+    """Replay single-model ACI on the first model of (probs, true_label) steps; (one dict
+    per step, final state). One tie-break uniform per step; the level moves by the
+    fixed step ``aci_lr``."""
+    rng_u = stream_rng(master_seed, "aci/tiebreak")
+    alpha = target_alpha if alpha_init is None else alpha_init
+    store = []
+    trace = []
+
+    for t, (probs, y) in enumerate(steps, start=1):
+        u = float(rng_u.random())
+        labels = _labels(probs[0], u, _threshold(store, alpha), xi, k_reg)
+        err = 0 if y in labels else 1
+        store.append(_score(probs[0], y, u, xi, k_reg))
+        store.sort()
+        alpha += aci_lr * (target_alpha - err)
+
+        trace.append({"t": t, "chosen_model": 0, "set_size": len(labels), "err": err,
+                      "node": -1, "subset": (0,), "chosen_loss": 0.0, "alpha_bars": None,
+                      "labels": frozenset(labels)})
+    return trace, {"w": [1.0], "alphas": [alpha], "grad_sq": [0.0]}

@@ -5,10 +5,13 @@ helpers from the package, so a trace comparison actually cross-checks the
 implementation. Only the named RNG streams and the per-step draw order are
 shared with the real policy:
 
-  1. one tie-break uniform per model,
+  1. one tie-break uniform per model (one for all when ``shared_u``),
   2. N uniforms per selective node (row by row),
-  3. one uniform for node selection,
+  3. one uniform for node selection (J > 1 only),
   4. one uniform for model selection.
+
+The exploration-mixed PMF is taken as ``(1 - eta_e) * (w / total) + eta_e / M``,
+the documented formula's order of operations, so it rounds as the package's does.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ def _alpha_bar(sorted_scores, true_score):
 
 def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
                     max_links, target_alpha=0.1, eta=0.05, epsilon=0.5,
-                    beta=0.0, master_seed=0):
+                    beta=0.0, master_seed=0, alpha_init=None, shared_u=False,
+                    track_alpha_bar=False):
     """Replay the GMOCP loop over (probs, true_label) steps; one dict per step.
 
-    ``eta_e`` is a per-node list of exploration coefficients.
+    ``eta_e`` is a per-node list of exploration coefficients. Each dict holds the
+    state after its step: ``weights``, ``alphas`` and ``grad_sq``.
     """
     rng_u = stream_rng(master_seed, "gmocp/tiebreak")
     rng_graph = stream_rng(master_seed, "gmocp/graph")
@@ -70,18 +75,21 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
     rng_model = stream_rng(master_seed, "gmocp/model")
 
     weights = [1.0] * n_models
-    alphas = [target_alpha] * n_models
+    alphas = [target_alpha if alpha_init is None else alpha_init] * n_models
     grad_sq = [0.0] * n_models
     stores = [[] for _ in range(n_models)]
     scale = 2.0 ** math.floor(math.log2(n_selective))
     trace = []
 
     for t, (probs, y) in enumerate(steps, start=1):
-        u_vec = [float(rng_u.random()) for _ in range(n_models)]
+        if shared_u:
+            u_vec = [float(rng_u.random())] * n_models
+        else:
+            u_vec = [float(rng_u.random()) for _ in range(n_models)]
 
         total_w = sum(weights)
         pmfs = [
-            [(1.0 - e) * w / total_w + e / n_models for w in weights]
+            [(1.0 - e) * (w / total_w) + e / n_models for w in weights]
             for e in eta_e
         ]
         rows = []
@@ -91,10 +99,9 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
                 members.add(_pick(pmfs[j], float(rng_graph.random())))
             rows.append(sorted(members))
 
-        node_draw = float(rng_node.random())
         node_w = [sum(weights[m] for m in row) for row in rows]
         node_pmf = [w / sum(node_w) for w in node_w]
-        node = 0 if n_selective == 1 else _pick(node_pmf, node_draw)
+        node = 0 if n_selective == 1 else _pick(node_pmf, float(rng_node.random()))
         subset = rows[node]
 
         model_draw = float(rng_model.random())
@@ -112,10 +119,13 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
         err = 0 if y in labels else 1
 
         scores = [_score(probs[m], y, u_vec[m], xi, k_reg) for m in range(n_models)]
+        a_bars = [_alpha_bar(stores[m], scores[m]) for m in range(n_models)]
         for m in subset:
-            ab = _alpha_bar(stores[m], scores[m])
+            ab = a_bars[m]
             diff = ab - alphas[m]
             loss = target_alpha * diff + max(0.0, -diff)
+            if m == chosen:
+                chosen_loss = loss
             q = sum(
                 node_pmf[j] * (1.0 - (1.0 - pmfs[j][m]) ** max_links)
                 for j in range(n_selective)
@@ -152,7 +162,10 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
             "set_size": len(labels),
             "labels": frozenset(labels),
             "err": err,
+            "chosen_loss": chosen_loss,
+            "alpha_bars": tuple(a_bars) if track_alpha_bar else None,
             "weights": list(weights),
             "alphas": list(alphas),
+            "grad_sq": list(grad_sq),
         })
     return trace

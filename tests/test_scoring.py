@@ -1,5 +1,6 @@
 """Scoring, calibration stores, thresholds, prediction sets, optimal levels."""
 
+import bisect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gmocp import scoring
 from gmocp.oracles import alpha_bar_grid, quantile_threshold_scan
 from gmocp.scoring import (
     CalibrationStore,
@@ -85,17 +87,22 @@ def test_vectorized_scores_match_scalar(p, u):
         assert fast[y] == pytest.approx(nonconformity_score(p, y, u, params), abs=1e-12)
 
 
-@pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
-def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
-    """The (S, K) path gives each row bit for bit what the (K,) path gives it,
-    with tied and zero probabilities among the rows."""
-    rng = np.random.default_rng(n_labels)
+def tied_rows(rng, n_labels):
+    """Batches of probability rows with tied, zero and one-hot rows among them."""
     rows = [rng.dirichlet(np.ones(n_labels)),
             rng.multinomial(8, np.full(n_labels, 1 / n_labels)) / 8.0,  # ties and zeros
             np.full(n_labels, 1 / n_labels),
             np.eye(n_labels)[0],
             rng.dirichlet(np.full(n_labels, 0.05))]
-    for probs in (np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])):
+    return np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
+def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
+    """The (S, K) path gives each row bit for bit what the (K,) path gives it,
+    with tied and zero probabilities among the rows."""
+    rng = np.random.default_rng(n_labels)
+    for probs in tied_rows(rng, n_labels):
         u = rng.random(len(probs))
         u[0] = 0.0
         for params in (ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels),
@@ -104,6 +111,22 @@ def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
             single = np.array([all_label_scores(p, v, params) for p, v in zip(probs, u)])
             assert batch.shape == probs.shape
             assert batch.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
+def test_set_sizes_of_many_rows_equal_one_call_per_row(n_labels):
+    """Thresholds at a row's own label scores (so ties with the threshold occur),
+    between them and at +/-inf."""
+    rng = np.random.default_rng(n_labels)
+    params = ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels)
+    for probs in tied_rows(rng, n_labels):
+        u = rng.random(len(probs))
+        scores = all_label_scores(probs, u, params)
+        for thresholds in (scores[:, 0], scores[:, -1], scores.mean(axis=1),
+                           np.full(len(probs), np.inf), np.full(len(probs), -np.inf)):
+            sizes = prediction_set_size(probs, thresholds, u, params)
+            assert sizes == [prediction_set_size(p, float(thr), float(v), params)
+                             for p, thr, v in zip(probs, thresholds, u)]
 
 
 def test_all_model_scores_matches_scalar():
@@ -230,6 +253,56 @@ def test_insert_duplicate_multiset():
     store = make_store([0.1, 0.3])
     store.insert(0.3)
     assert store.scores == [0.1, 0.3, 0.3]
+
+
+def test_store_sorts_its_input():
+    store = CalibrationStore([0.3, 0.1, 0.2])
+    assert store.scores == [0.1, 0.2, 0.3]
+    assert quantile_threshold(store, 0.5) == 0.2
+
+
+TIED = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0])
+SCORES = st.one_of(TIED, st.floats(-1e3, 1e3, allow_nan=False))
+STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), SCORES),
+    st.tuples(st.just("insert_each"), SCORES),
+    st.tuples(st.just("merge"), st.lists(SCORES, max_size=100)),
+    st.tuples(st.just("rank"), SCORES),
+    st.tuples(st.just("kth"), st.integers(0, 10**6)),
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(initial=st.lists(SCORES, max_size=40), ops=STORE_OPS,
+       block_size=st.sampled_from([4, 64]), merge_from=st.sampled_from([1, 3]))
+def test_store_equals_insort_on_a_list(initial, ops, block_size, merge_from):
+    """With blocks of at most 4 scores, splits and merges over many blocks occur; with
+    64, most stores keep one block. A merge puts 1 or 3 scores on into a block with
+    numpy. The store must read as ``bisect.insort`` on a list, 0.0 told from -0.0 by
+    repr."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "BLOCK_SIZE", block_size)
+        patch.setattr(scoring, "MERGE_FROM", merge_from)
+        store, ref = CalibrationStore(initial), sorted(initial)
+        for op, arg in ops:
+            if op == "insert":
+                store.insert(arg)
+                bisect.insort(ref, arg)
+            elif op == "insert_each":
+                scoring.insert_each([store], [arg])
+                bisect.insort(ref, arg)
+            elif op == "merge":
+                store.merge(np.array(arg, dtype=float))
+                for score in arg:
+                    bisect.insort(ref, score)
+            elif op == "rank":
+                assert store.rank(arg) == bisect.bisect_left(ref, arg)
+                assert scoring.rank_fractions([store], [arg]) == [
+                    1.0 - bisect.bisect_left(ref, arg) / (len(ref) + 1)]
+            elif ref:
+                assert repr(store.kth(arg % len(ref))) == repr(ref[arg % len(ref)])
+            assert [repr(v) for v in store.scores] == [repr(v) for v in ref]
+            assert len(store) == store.count == len(ref)
 
 
 # ------------------------------------------------------------- alpha_bar
