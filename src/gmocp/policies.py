@@ -20,8 +20,9 @@ score goes into that model's calibration store, a sorted run of float64 blocks
 N, and ``track_alpha_bar`` off), the step writes its M scores as one row of a
 ``ScoreLog`` in one numpy assignment, and a store is brought up to date only
 just before it is read, by one ``CalibrationStore.merge`` of its pending
-scores (a stable sort, then one numpy search and insert per block they land
-in): the subset's stores each step, and every store when the log fills or
+scores (a stable sort, then, per block they land in, one numpy search and
+insert, or an insort each for fewer than ``scoring.MERGE_FROM`` of them): the
+subset's stores each step, and every store when the log fills or
 ``policy.calibrations`` is read. Every store holds the same scores in the same
 order at every read as with one insert per score, so every output is
 bit-identical (for scores that are not NaN: a NaN probability makes a NaN
@@ -67,9 +68,6 @@ from .scoring import (
 
 
 LOG_ROWS = 1024  # steps a ScoreLog holds before it brings every store up to date
-# EGMOCP sizes the sets of this many other subset models or more in one (S, K) call;
-# below, a (K,) call per model is cheaper (about 17 us per call against 5 per model, K=20)
-BATCH_ROWS_FROM = 4
 # graph policies defer when M >= this times N: a store is then read about once in
 # M/N >= 32 steps, where merging its pending scores at once beats eager inserts
 DEFER_MODELS_PER_LINK = 32
@@ -238,16 +236,6 @@ class _BasePolicy:
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
-        if beta > 0.0:  # each subset model's set size at its level before this update
-            others = [m for m in subset if m != chosen]
-            thresholds = [quantile_threshold(stores[m], alphas[m]) for m in others]
-            if len(others) < BATCH_ROWS_FROM:
-                sizes = [prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
-                         for m, thr in zip(others, thresholds)]
-            else:
-                sizes = prediction_set_size(probs[others], thresholds, u_vec[others], cfg.score)
-            sizes = dict(zip(others, sizes))
-            sizes[chosen] = pred.size
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
             a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
@@ -258,7 +246,12 @@ class _BasePolicy:
                 chosen_loss = loss
             exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
-                exponent += beta * sizes[m]
+                if m == chosen:
+                    size = pred.size
+                else:
+                    thr = quantile_threshold(stores[m], alpha)
+                    size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
+                exponent += beta * size
             w[m] *= math.exp(-epsilon * exponent)
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 

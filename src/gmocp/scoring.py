@@ -58,7 +58,9 @@ class PredictionSet:
 
 
 BLOCK_SIZE = 4096  # a store's block splits in two when it passes this many scores
-MERGE_FROM = 32  # scores into one block from which one numpy merge beats an insort each
+# scores into one block from which one numpy merge beats an insort each: insort is
+# faster up to 24 scores, numpy from 32, at blocks of 100 to 4000 scores
+MERGE_FROM = 32
 
 
 class CalibrationStore:
@@ -166,13 +168,8 @@ class CalibrationStore:
 
     def merge(self, scores) -> None:
         """Add ``scores``, in the order given, as one ``insert`` each would."""
-        scores = np.asarray(scores, dtype=float)
-        if len(scores) < MERGE_FROM:
-            for score in scores.tolist():
-                self.insert(score)
-            return
         # stable: equal scores keep their order, and go after the equal ones stored
-        scores = np.sort(scores, kind="stable")
+        scores = np.sort(np.asarray(scores, dtype=float), kind="stable")
         # block i takes the scores from _mins[i - 1] (inclusive) up to _mins[i]
         cuts = [0, *scores.searchsorted(self._mins, side="left").tolist(), len(scores)]
         blocks, grown = self._blocks, []
@@ -335,18 +332,9 @@ def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: Scor
     return PredictionSet(frozenset((scores <= threshold).nonzero()[0].tolist()))
 
 
-def prediction_set_size(p: np.ndarray, threshold, u, params: ScoreParams):
-    """Size of build_prediction_set without materializing the label set.
-
-    ``p`` is one probability vector (K,) with a scalar threshold and ``u``, or S of
-    them (S, K) with one threshold and one tie-break each in ``threshold`` and ``u``
-    (S,); the result is then the list of the S sizes each row alone gives.
-    """
-    scores = all_label_scores(p, u, params)
-    if scores.ndim == 2:
-        return np.count_nonzero(scores <= np.asarray(threshold, dtype=float)[:, None],
-                                axis=1).tolist()
-    return int(np.count_nonzero(scores <= threshold))
+def prediction_set_size(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> int:
+    """Size of build_prediction_set without materializing the label set."""
+    return int(np.count_nonzero(all_label_scores(p, u, params) <= threshold))
 
 
 def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:

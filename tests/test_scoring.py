@@ -113,22 +113,6 @@ def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
             assert batch.tobytes() == single.tobytes()
 
 
-@pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
-def test_set_sizes_of_many_rows_equal_one_call_per_row(n_labels):
-    """Thresholds at a row's own label scores (so ties with the threshold occur),
-    between them and at +/-inf."""
-    rng = np.random.default_rng(n_labels)
-    params = ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels)
-    for probs in tied_rows(rng, n_labels):
-        u = rng.random(len(probs))
-        scores = all_label_scores(probs, u, params)
-        for thresholds in (scores[:, 0], scores[:, -1], scores.mean(axis=1),
-                           np.full(len(probs), np.inf), np.full(len(probs), -np.inf)):
-            sizes = prediction_set_size(probs, thresholds, u, params)
-            assert sizes == [prediction_set_size(p, float(thr), float(v), params)
-                             for p, thr, v in zip(probs, thresholds, u)]
-
-
 def test_all_model_scores_matches_scalar():
     rng = np.random.default_rng(3)
     probs = rng.dirichlet(np.ones(6), size=4)
