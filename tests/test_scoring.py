@@ -87,22 +87,17 @@ def test_vectorized_scores_match_scalar(p, u):
         assert fast[y] == pytest.approx(nonconformity_score(p, y, u, params), abs=1e-12)
 
 
-def tied_rows(rng, n_labels):
-    """Batches of probability rows with tied, zero and one-hot rows among them."""
-    rows = [rng.dirichlet(np.ones(n_labels)),
-            rng.multinomial(8, np.full(n_labels, 1 / n_labels)) / 8.0,  # ties and zeros
-            np.full(n_labels, 1 / n_labels),
-            np.eye(n_labels)[0],
-            rng.dirichlet(np.full(n_labels, 0.05))]
-    return np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])
-
-
 @pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
 def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
     """The (S, K) path gives each row bit for bit what the (K,) path gives it,
     with tied and zero probabilities among the rows."""
     rng = np.random.default_rng(n_labels)
-    for probs in tied_rows(rng, n_labels):
+    rows = [rng.dirichlet(np.ones(n_labels)),
+            rng.multinomial(8, np.full(n_labels, 1 / n_labels)) / 8.0,  # ties and zeros
+            np.full(n_labels, 1 / n_labels),
+            np.eye(n_labels)[0],
+            rng.dirichlet(np.full(n_labels, 0.05))]
+    for probs in (np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])):
         u = rng.random(len(probs))
         u[0] = 0.0
         for params in (ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels),
