@@ -25,27 +25,37 @@ class RunMetrics:
 
 
 def compute_metrics(records, window: int = 100, width_cap: int = 40) -> RunMetrics:
-    """Aggregate per-step records into run metrics.
+    """Aggregate per-step records into run metrics, in one pass.
 
-    Local coverage uses consecutive non-overlapping windows; a window must be
-    complete to count.
+    ``records`` is any iterable of ``StepRecord`` (``err`` 0 or 1), consumed
+    once and kept nowhere, so a run's memory does not grow with its length.
+    The counts are Python ints divided once at the end, which gives the same
+    floats as the means of 0/1 arrays. Local coverage uses consecutive
+    non-overlapping windows; a window must be complete to count.
     """
-    if not records:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    n = covered = size_sum = singles = under_cap = in_window = 0
+    local = []
+    for r in records:
+        n += 1
+        size_sum += r.set_size
+        if not r.err:
+            covered += 1
+            in_window += 1
+            singles += r.set_size == 1
+            under_cap += r.set_size < width_cap
+        if n % window == 0:
+            local.append(in_window / window)
+            in_window = 0
+    if not n:
         raise ValueError("no records to aggregate")
-    err = np.array([r.err for r in records], dtype=float)
-    size = np.array([r.set_size for r in records], dtype=float)
-    covered = 1.0 - err
-    n = len(records)
-
-    starts = range(0, n - window + 1, window)
-    local = tuple(float(covered[s:s + window].mean()) for s in starts)
-
     return RunMetrics(
-        coverage=100.0 * float(covered.mean()),
-        avg_width=float(size.mean()),
-        single_width=100.0 * float(np.mean((size == 1) & (covered == 1))),
-        width_under_k=100.0 * float(np.mean((size < width_cap) & (covered == 1))),
-        local_coverage=local,
+        coverage=100.0 * (covered / n),
+        avg_width=size_sum / n,
+        single_width=100.0 * (singles / n),
+        width_under_k=100.0 * (under_cap / n),
+        local_coverage=tuple(local),
         n_steps=n,
     )
 

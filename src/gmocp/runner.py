@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+        if self.width_cap < 1:
+            raise ValueError(f"width_cap must be at least 1, got {self.width_cap}")
         if (self.stream is None) == (self.stream_path is None):
             raise ValueError("exactly one of stream / stream_path required")
         if self.policy == "egmocp" and self.policy_params.beta == 0.0:
@@ -195,12 +197,16 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None):
-    """Run one policy over one stream realization; returns (row, records).
+def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None,
+             on_step=None):
+    """Run one policy over one stream realization; returns (row, RunMetrics).
 
     ``steps`` can supply a pre-generated stream (e.g. shared across policies);
     otherwise the stream is produced from the config. The first step's model
-    and label counts are checked against the config.
+    and label counts are checked against the config. The metrics are counted
+    as the steps arrive and no step record is kept, so a caller that needs
+    per-step data passes ``on_step``, a callable that receives each
+    ``StepRecord`` in order.
     """
     policy = make_policy(cfg.policy, cfg.policy_params, seed)
     if steps is None and cfg.stream_path is not None:
@@ -218,27 +224,45 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None)
             raise ValueError(f"stream has M={m} models and K={k} labels, but config "
                              f"{cfg.config_id()} expects M={want[0]} and K={want[1]}")
         steps = itertools.chain((first,), steps)
-    records = []
-    for step in steps:
-        _, rec = policy.step(step.probs, step.true_label)
-        records.append(rec)
-    metrics = compute_metrics(records, width_cap=cfg.width_cap)
-    runtime = sum(r.wall_nanos for r in records) / 1e9 if timing else 0.0
+    wall_nanos = 0
+
+    def records():
+        nonlocal wall_nanos
+        for step in steps:
+            _, rec = policy.step(step.probs, step.true_label)
+            if on_step is not None:
+                on_step(rec)
+            if timing:
+                wall_nanos += rec.wall_nanos
+            yield rec
+
+    metrics = compute_metrics(records(), width_cap=cfg.width_cap)
     row = ResultRow(
         policy=cfg.policy, N=cfg.n_links, J=cfg.n_selective, seed=seed,
         coverage=metrics.coverage, avg_width=metrics.avg_width,
-        single_width=metrics.single_width, runtime=runtime,
+        single_width=metrics.single_width, runtime=wall_nanos / 1e9,
         width_under_k=metrics.width_under_k, config_id=cfg.config_id(),
     )
-    return row, records
+    return row, metrics
 
 
-def _write_trace(path: str, records, timing: bool) -> None:
+def _run_traced(cfg: ExperimentConfig, seed: int, timing: bool, path: str):
+    """``run_seed`` that writes each step record to the trace CSV ``path`` as it
+    arrives; the file takes that name only once the seed completes."""
     names = ("t", "chosen_model", "node", "set_size", "err") + (("wall_nanos",) if timing else ())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows([getattr(r, name) for name in names] for r in records)
+    partial = path + ".partial"
+    fh = open(partial, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(names)
+            result = run_seed(cfg, seed, timing=timing, on_step=lambda r: writer.writerow(
+                [getattr(r, name) for name in names]))
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, path)
+    return result
 
 
 def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):
@@ -260,12 +284,13 @@ def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):
             for seed in cfg.seeds:
                 if (config_id, seed) in done:
                     continue
-                row, records = run_seed(cfg, seed, timing=timing)
+                if trace:
+                    row, _ = _run_traced(cfg, seed, timing, f"{output}_trace_seed{seed}.csv")
+                else:
+                    row, _ = run_seed(cfg, seed, timing=timing)
                 rows.append(row)
                 writer.writerow(row.as_list())
                 fh.flush()
-                if trace:
-                    _write_trace(f"{output}_trace_seed{seed}.csv", records, timing)
     all_rows = read_rows(csv_path)
     by_id = {config_id: [r for r in all_rows if r.config_id == config_id] for config_id in ids}
     write_summary(output + "_summary.json", by_id)

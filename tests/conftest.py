@@ -3,8 +3,9 @@
 Five policy configurations x two shift schedules x ten seeds. Streams are
 generated once per (schedule, seed) and shared across the policies to keep
 the wall-clock budget sane. For the tracked configuration the per-step
-coverage errors, all-model optimal levels and chosen-model losses are kept
-as compact arrays for the calibration-speed and regret checks.
+coverage errors, all-model optimal levels and chosen-model losses are read
+through ``run_seed``'s ``on_step`` and kept as compact arrays for the
+calibration-speed and regret checks; the other runs keep no step data.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ def acceptance_runs(tmp_path_factory):
             for label, (policy, n, j) in RUN_CONFIGS.items():
                 track = (schedule, label) == TRACKED
                 cfg = experiment_config(policy, n, j, schedule, base, track=track)
-                row, records = run_seed(cfg, seed, steps=steps)
+                kept = []
+                row, _ = run_seed(cfg, seed, steps=steps, on_step=kept.append if track else None)
                 rows[(schedule, label)].append(row)
                 if track:
                     tracked[seed] = {
-                        "err": np.array([r.err for r in records], dtype=float),
-                        "alpha_bars": np.array([r.alpha_bars for r in records]),
-                        "chosen_loss": np.array([r.chosen_loss for r in records]),
+                        "err": np.array([r.err for r in kept], dtype=float),
+                        "alpha_bars": np.array([r.alpha_bars for r in kept]),
+                        "chosen_loss": np.array([r.chosen_loss for r in kept]),
                     }
             del steps
     return {"rows": rows, "tracked": tracked}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmocp.metrics import best_constant_loss, compute_metrics, hindsight_regret
+from gmocp.metrics import RunMetrics, best_constant_loss, compute_metrics, hindsight_regret
 from gmocp.oracles import best_constant_loss_grid
 from gmocp.policies import StepRecord
 
@@ -57,6 +57,12 @@ def test_empty_records_rejected():
         compute_metrics([])
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_window_below_one_rejected(window):
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        compute_metrics([rec(t, 1, 0) for t in range(1, 5)], window=window)
+
+
 def test_global_metrics_permutation_invariant():
     rng = np.random.default_rng(0)
     records = [rec(t, int(rng.integers(1, 10)), int(rng.random() < 0.1))
@@ -67,6 +73,46 @@ def test_global_metrics_permutation_invariant():
     assert (m1.coverage, m1.avg_width, m1.single_width, m1.width_under_k) == (
         m2.coverage, m2.avg_width, m2.single_width, m2.width_under_k
     )
+
+
+def array_metrics(records, window, width_cap):
+    """The array formulas that ``compute_metrics`` used before it counted in one pass."""
+    err = np.array([r.err for r in records], dtype=float)
+    size = np.array([r.set_size for r in records], dtype=float)
+    covered = 1.0 - err
+    n = len(records)
+    starts = range(0, n - window + 1, window)
+    return RunMetrics(
+        coverage=100.0 * float(covered.mean()),
+        avg_width=float(size.mean()),
+        single_width=100.0 * float(np.mean((size == 1) & (covered == 1))),
+        width_under_k=100.0 * float(np.mean((size < width_cap) & (covered == 1))),
+        local_coverage=tuple(float(covered[s:s + window].mean()) for s in starts),
+        n_steps=n,
+    )
+
+
+@st.composite
+def runs(draw, n_labels=20):
+    """Steps of a run whose length is below, at or just past a multiple of the window."""
+    window = draw(st.integers(1, 12))
+    n = max(1, draw(st.integers(0, 5)) * window + draw(st.sampled_from([-1, 0, 1])))
+    steps = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n_labels)),
+                          min_size=n, max_size=n))
+    records = [rec(t, size, err) for t, (err, size) in enumerate(steps, start=1)]
+    return records, window, draw(st.integers(1, n_labels + 3))
+
+
+@given(run=runs())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_metrics_equal_the_array_formulas(run):
+    records, window, width_cap = run
+    m = compute_metrics((r for r in records), window=window, width_cap=width_cap)
+    ref = array_metrics(records, window, width_cap)
+    for name in ("coverage", "avg_width", "single_width", "width_under_k"):
+        assert getattr(m, name).hex() == getattr(ref, name).hex(), name
+    assert [x.hex() for x in m.local_coverage] == [x.hex() for x in ref.local_coverage]
+    assert m.n_steps == ref.n_steps
 
 
 # ---------------------------------------------------------------- regret

@@ -15,6 +15,7 @@ from conftest import RUN_CONFIGS, SCHEDULES, experiment_config
 from gmocp import runner, streams
 from gmocp.cli import main
 from gmocp.graph import GraphParams
+from gmocp.metrics import compute_metrics
 from gmocp.oracles import run_oracle
 from gmocp.policies import PolicyConfig
 from gmocp.runner import (
@@ -101,8 +102,8 @@ def test_parse_stream_file(tmp_path):
     )
     assert cfg.policy_params.n_models == 2
     assert cfg.policy_params.score.n_labels == 6
-    row, records = run_seed(cfg, 0)
-    assert len(records) == 100
+    row, metrics = run_seed(cfg, 0)
+    assert metrics.n_steps == 100
 
 
 def test_config_id_distinguishes_graphs(tmp_path):
@@ -278,6 +279,13 @@ def test_width_cap_resume_runs_the_new_config(tmp_path):
     assert summary[second.config_id()]["width_under_k"]["mean"] == 74.66666666666667
 
 
+@pytest.mark.parametrize("width_cap", [0, -3])
+def test_width_cap_below_one_is_rejected(width_cap):
+    """No covering set is smaller than such a cap, so width_under_k would read 0."""
+    with pytest.raises(ValueError, match="width_cap must be at least 1"):
+        parse_config({"policy": "mocp", "width_cap": width_cap})
+
+
 def test_parse_empty_stream_file_names_the_file(tmp_path):
     (tmp_path / "empty.csv").write_text("t,true_label,severity,model_id,p_0,p_1\n")
     with pytest.raises(StreamFormatError, match="empty.csv"):
@@ -441,8 +449,8 @@ def test_run_seed_rejects_stream_shape_mismatch(n_models, n_labels):
 
 def test_run_seed_aci_reads_first_model_of_a_wider_stream():
     cfg = parse_config(tiny_doc(policy="aci", policy_params={}))  # single-model, two in the stream
-    _, records = run_seed(cfg, 1)
-    assert len(records) == 100
+    _, metrics = run_seed(cfg, 1)
+    assert metrics.n_steps == 100
 
 
 def test_trace_output(tmp_path):
@@ -453,6 +461,36 @@ def test_trace_output(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 100
     assert set(rows[0]) == {"t", "chosen_model", "node", "set_size", "err"}
+
+
+def test_run_seed_hands_each_step_record_to_on_step():
+    cfg = parse_config(tiny_doc())
+    seen = []
+    row, metrics = run_seed(cfg, 1, on_step=seen.append)
+    assert [r.t for r in seen] == list(range(1, 101))
+    assert metrics == compute_metrics(seen, width_cap=cfg.width_cap)
+    assert (row.coverage, row.avg_width) == (metrics.coverage, metrics.avg_width)
+
+
+def test_run_seed_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="no records"):
+        run_seed(parse_config(tiny_doc()), 0, steps=[])
+
+
+def test_malformed_stream_line_leaves_no_trace_and_no_row(tmp_path):
+    """A seed that fails mid-stream writes neither its trace file nor its results row."""
+    gen = write_config(tmp_path, tiny_doc(), "gen.json")
+    stream_csv = tmp_path / "s.csv"
+    assert main(["gen-stream", "--config", str(gen), "--out", str(stream_csv)]) == 0
+    lines = stream_csv.read_text().splitlines(keepends=True)
+    lines[101] = lines[101].replace(",", ",x", 1)  # t=51 of 100
+    stream_csv.write_text("".join(lines))
+    cfg = parse_config(tiny_doc(policy="mocp", policy_params={}, stream={"file": "s.csv"}),
+                       base_dir=str(tmp_path))
+    with pytest.raises(StreamFormatError, match="line 102"):
+        run_experiment(cfg, trace=True)
+    assert read_rows(str(tmp_path / "results.csv")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json", "results.csv", "s.csv"]
 
 
 def test_timing_flag_records_runtime(tmp_path):
