@@ -45,19 +45,14 @@ class FeedbackGraph:
     the PMF node j drew from, ``node_weights`` (J,), the summed weights of each node's
     models, ``node_pmf`` (J,) and ``n_trials`` (N).
 
-    Built from the model ``weights`` instead of node weights and PMF, it computes
-    those two from ``weights`` on first read (so the array must not change until
-    then); a step with one selective node never reads them.
+    The node weights and PMF are computed from the model ``weights`` on first read
+    (so the array must not change until then); a step with one selective node never
+    reads them.
     """
 
-    def __init__(self, adjacency, connect_pmf, node_weights=None, node_pmf=None,
-                 n_trials=1, *, weights=None):
+    def __init__(self, adjacency, connect_pmf, n_trials=1, *, weights=None):
         self.adjacency, self.connect_pmf, self.n_trials = adjacency, connect_pmf, n_trials
         self._weights = weights
-        if node_weights is not None:
-            self.node_weights = node_weights
-        if node_pmf is not None:
-            self.node_pmf = node_pmf
 
     @cached_property
     def node_weights(self) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Every policy exposes ``step(probs, true_label) -> (PredictionSet, StepRecord)``,
 where ``probs`` is (M, K) and ``true_label`` in [0, K), and keeps per-model
-calibration stores, adaptive miscoverage levels and exponential weights.
-Randomness comes from named streams addressed by the master seed, so two
-policies built with the same seed consume identical draws in identical order.
+calibration stores, adaptive miscoverage levels and exponential weights. All
+five run one step, ``_BasePolicy.step``, and differ only in its hooks: ``_select``
+(the models a step reads), ``_predict`` (the set) and ``_update`` (weights,
+levels and stores); see ``_BasePolicy``. Randomness comes from named streams
+addressed by the master seed, so two policies built with the same seed consume
+identical draws in identical order.
 
 Per-step draw order (fixed, relied upon by replay tests):
   1. one tie-break uniform per model,
@@ -30,14 +33,11 @@ score, which an insert and a merge may place differently). MOCP (whose subset
 is every model), COMA, ACI, tracked alpha_bar and small pools insert each
 score as it comes (``scoring.insert_each``).
 
-Full-information steps: MOCP updates every model in one plain loop
-(``MOCPPolicy._update``) over the levels ``scoring.rank_fractions`` gives
-(``optimal_alpha_bar`` of every store), and writes out ``pinball_loss`` and
-``sfogd_update`` on Python floats, with ``math.exp`` for each weight factor,
-so it rounds as the helpers do; numpy's vectorized exp rounds some float64
-arguments differently and would change the weights. COMA takes its M thresholds
-and then scores all M x K labels in one ``all_label_scores`` call. The graph
-policies call the helpers for their subset of at most N models.
+Full-information steps: MOCP updates every model in one plain loop on Python
+floats (``MOCPPolicy._update``), with ``math.exp`` for each weight factor (numpy's
+vectorized exp rounds some arguments differently). COMA scores all M x K labels
+in one ``all_label_scores`` call; the graph policies call the helpers for their
+subset of at most N models.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ class PolicyConfig:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.eta <= 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
+        if self.coma_gamma < 0:
+            raise ValueError(f"coma_gamma must be >= 0, got {self.coma_gamma}")
+        if self.aci_lr < 0:
+            raise ValueError(f"aci_lr must be >= 0, got {self.aci_lr}")
 
     @property
     def alpha0(self) -> float:
@@ -160,9 +164,12 @@ class _BasePolicy:
     """Per-model state: weights ``w``, levels ``alphas``, their SF-OGD sums of squared
     gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
-    ``step`` is GMOCP's and MOCP's step; a subclass supplies ``_select``, may replace
-    ``_update``, and a subclass whose steps read only a subset of the stores may set
-    ``_log``.
+    ``step`` is every policy's step: ``_draw_u``, ``_select``, bring the subset's
+    stores up to date, ``_predict``, test the true label, ``_update``, and build the
+    ``StepRecord``. A subclass supplies ``_select`` and may replace the other hooks:
+    GMOCP and MOCP predict from the chosen model, COMA by a vote and ACI from model
+    0. Only an update that changes the weights rescales them. A subclass whose steps
+    read only a subset of the stores may set ``_log``.
     """
 
     name = "base"
@@ -195,10 +202,8 @@ class _BasePolicy:
         return np.array(self.w)
 
     def _rescale_weights(self) -> None:
-        """Scale the weights by the power of two that puts the largest in [1, 2).
-
-        Exact, so no normalized weight, selection CDF or node PMF changes.
-        """
+        """Scale the weights by the power of two that puts the largest in [1, 2); exact,
+        so no normalized weight, selection CDF or node PMF changes."""
         shift = 1 - math.frexp(max(self.w))[1]
         if shift:
             self.w = [math.ldexp(x, shift) for x in self.w]
@@ -226,21 +231,26 @@ class _BasePolicy:
         """(node, subset, inclusion probability of each subset model, chosen model)."""
         raise NotImplementedError
 
-    def _update(self, probs, u_vec, pred, subset, inclusion, chosen, scores):
-        """Update the subset's weights and levels from this step's scores (M,), then
-        store every score; returns the chosen model's loss and, when tracked, every
-        model's alpha_bar."""
+    def _predict(self, probs, u_vec, chosen):
+        """This step's prediction set: the chosen model's set at its level."""
+        threshold = quantile_threshold(self._stores[chosen], self.alphas[chosen])
+        return build_prediction_set(probs[chosen], threshold, u_vec[chosen], self.cfg.score)
+
+    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+        """Score the true label under every model, update the subset's weights and
+        levels, then store every score; returns the chosen model's loss and, when
+        tracked, every model's alpha_bar."""
         cfg = self.cfg
         w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self._stores
+        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
         values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
-            a_bar = alpha_bars[m] if alpha_bars is not None else optimal_alpha_bar(
-                stores[m], values[m]
-            )
+            a_bar = (alpha_bars[m] if alpha_bars is not None
+                     else optimal_alpha_bar(stores[m], values[m]))
             loss = pinball_loss(a_bar, alpha, target)
             if m == chosen:
                 chosen_loss = loss
@@ -259,10 +269,10 @@ class _BasePolicy:
             insert_each(stores, values)
         else:
             self._log.append(scores)
+        self._rescale_weights()
         return chosen_loss, alpha_bars
 
     def step(self, probs, true_label: int):
-        cfg = self.cfg
         start = time.perf_counter_ns()
         probs = self._checked(probs, true_label)
         self.t += 1
@@ -270,27 +280,13 @@ class _BasePolicy:
         node, subset, inclusion, chosen = self._select()
         if self._log is not None:
             self._log.sync(subset)  # chosen is in subset
-
-        threshold = quantile_threshold(self._stores[chosen], self.alphas[chosen])
-        pred = build_prediction_set(probs[chosen], threshold, u_vec[chosen], cfg.score)
-        err = int(true_label not in pred)
-
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
-        chosen_loss, alpha_bars = self._update(probs, u_vec, pred, subset, inclusion, chosen,
-                                               scores)
-        self._rescale_weights()
-
-        record = StepRecord(
-            t=self.t,
-            chosen_model=chosen,
-            set_size=pred.size,
-            err=err,
-            node=node,
-            subset=subset,
-            chosen_loss=chosen_loss,
-            wall_nanos=time.perf_counter_ns() - start,
-            alpha_bars=alpha_bars,
-        )
+        pred = self._predict(probs, u_vec, chosen)
+        err = int(true_label not in pred.labels)
+        chosen_loss, alpha_bars = self._update(probs, true_label, u_vec, pred, err, subset,
+                                               inclusion, chosen)
+        record = StepRecord(t=self.t, chosen_model=chosen, set_size=pred.size, err=err,
+                            node=node, subset=subset, chosen_loss=chosen_loss,
+                            wall_nanos=time.perf_counter_ns() - start, alpha_bars=alpha_bars)
         return pred, record
 
 
@@ -351,7 +347,7 @@ class MOCPPolicy(_BasePolicy):
         w = self.weights
         return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
-    def _update(self, probs, u_vec, pred, subset, inclusion, chosen, scores):
+    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
         """``_BasePolicy._update`` for every model, with the helpers written out.
 
         Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
@@ -364,7 +360,7 @@ class MOCPPolicy(_BasePolicy):
         target, eta, neg_eps = cfg.target_alpha, cfg.eta, -cfg.epsilon
         w, alphas, grad_sq = self.w, self.alphas, self.grad_sq
         exp, sqrt = math.exp, math.sqrt
-        values = scores.tolist()
+        values = all_model_scores(probs, true_label, u_vec, cfg.score).tolist()
         a_bars = rank_fractions(self._stores, values)
         for m, a_bar in enumerate(a_bars):
             alpha = alphas[m]
@@ -378,18 +374,17 @@ class MOCPPolicy(_BasePolicy):
             grad_sq[m] = gs
             alphas[m] = alpha - eta * g / sqrt(gs)
         insert_each(self._stores, values)
+        self._rescale_weights()
         return chosen_loss, tuple(a_bars) if cfg.track_alpha_bar else None
 
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
 def vote_set(membership: np.ndarray, weights_norm: np.ndarray, vote_u: float) -> frozenset:
-    """Labels whose weighted vote exceeds the randomized majority threshold.
-
-    membership is (M, K) boolean: model m includes label k.
-    """
+    """Labels whose weighted vote exceeds the randomized majority threshold;
+    ``membership`` is (M, K) boolean: model m includes label k."""
     tally = weights_norm @ membership
-    return frozenset(int(k) for k in np.flatnonzero(tally > (1.0 + vote_u) / 2.0))
+    return frozenset(np.flatnonzero(tally > (1.0 + vote_u) / 2.0).tolist())
 
 
 class COMAPolicy(_BasePolicy):
@@ -402,41 +397,34 @@ class COMAPolicy(_BasePolicy):
         super().__init__(cfg, master_seed)
         self.shared_alpha, self.shared_grad_sq = cfg.alpha0, 0.0
         self._rng_vote = stream_rng(master_seed, f"{self.name}/vote")
+        self._subset = tuple(range(cfg.n_models))
 
-    def step(self, probs, true_label: int):
-        cfg = self.cfg
-        start = time.perf_counter_ns()
-        probs = self._checked(probs, true_label)
-        self.t += 1
-        u_vec = self._draw_u()
-        vote_u = float(self._rng_vote.random())
+    def _select(self):
+        return -1, self._subset, (), -1
 
+    def _predict(self, probs, u_vec, chosen):
+        """The vote over every model's set at the shared level; then each model's
+        weight shrinks by ``exp(-coma_gamma * size)`` of its set."""
         thresholds = [quantile_threshold(store, self.shared_alpha) for store in self._stores]
-        membership = all_label_scores(probs, u_vec, cfg.score) <= np.array(thresholds)[:, None]
-
+        membership = all_label_scores(probs, u_vec, self.cfg.score) <= np.array(thresholds)[:, None]
         weights = self.weights
-        labels = vote_set(membership, weights / weights.sum(), vote_u)
-        pred = PredictionSet(labels)
-        err = int(true_label not in pred)
-
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score).tolist()
-        gamma = cfg.coma_gamma
+        pred = PredictionSet(vote_set(membership, weights / weights.sum(),
+                                      float(self._rng_vote.random())))
+        gamma = self.cfg.coma_gamma
         self.w = [w * math.exp(-gamma * size)
                   for w, size in zip(self.w, membership.sum(axis=1).tolist())]
-        insert_each(self._stores, scores)
         self._rescale_weights()
+        return pred
+
+    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+        """Store every model's score; move the shared level by this step's miss."""
+        cfg = self.cfg
+        insert_each(self._stores, all_model_scores(probs, true_label, u_vec, cfg.score).tolist())
         self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
             self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)
+        return 0.0, None
 
-        record = StepRecord(
-            t=self.t,
-            chosen_model=-1,
-            set_size=pred.size,
-            err=err,
-            subset=tuple(range(cfg.n_models)),
-            wall_nanos=time.perf_counter_ns() - start,
-        )
-        return pred, record
+    step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
 class ACIPolicy(_BasePolicy):
@@ -450,28 +438,20 @@ class ACIPolicy(_BasePolicy):
             raise ValueError("ACI is single-model; set n_models=1")
         super().__init__(cfg, master_seed)
 
-    def step(self, probs, true_label: int):
-        cfg = self.cfg
-        start = time.perf_counter_ns()
-        probs = self._checked(probs, true_label)
-        self.t += 1
-        u = float(self._rng_u.random())
-        store, alphas = self._stores[0], self.alphas
-        threshold = quantile_threshold(store, alphas[0])
-        pred = build_prediction_set(probs[0], threshold, u, cfg.score)
-        err = int(true_label not in pred)
-        store.insert(nonconformity_score(probs[0], true_label, u, cfg.score))
-        alphas[0] += cfg.aci_lr * (cfg.target_alpha - err)
+    def _draw_u(self):
+        return (self._rng_u.random(),)  # the double random(1) would hold, without the array
 
-        record = StepRecord(
-            t=self.t,
-            chosen_model=0,
-            set_size=pred.size,
-            err=err,
-            subset=(0,),
-            wall_nanos=time.perf_counter_ns() - start,
-        )
-        return pred, record
+    def _select(self):
+        return -1, (0,), (), 0
+
+    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+        """Store model 0's score; move its level by ``aci_lr`` toward the target."""
+        cfg = self.cfg
+        self._stores[0].insert(nonconformity_score(probs[0], true_label, u_vec[0], cfg.score))
+        self.alphas[0] += cfg.aci_lr * (cfg.target_alpha - err)
+        return 0.0, None
+
+    step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
 
 
 POLICIES = {"gmocp": GMOCPPolicy, "egmocp": GMOCPPolicy, "mocp": MOCPPolicy,

@@ -66,6 +66,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
+        repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"seeds must not repeat; seed {repeated[0]} appears more than once")
         if self.width_cap < 1:
             raise ValueError(f"width_cap must be at least 1, got {self.width_cap}")
         if (self.stream is None) == (self.stream_path is None):

@@ -250,7 +250,7 @@ def nonconformity_score(p: np.ndarray, y: int, u: float, params: ScoreParams) ->
         raise ValueError(f"u must be in [0, 1], got {u}")
     py = float(p[y])
     k_y = int(np.count_nonzero(p >= py))
-    rho = float(p[p > py].sum())
+    rho = float(np.add.reduce(p[p > py]))  # ndarray.sum, without its Python wrapper
     return params.xi * math.sqrt(max(k_y - params.k_reg, 0)) + u * py + rho
 
 
@@ -265,7 +265,8 @@ def all_label_scores(p: np.ndarray, u, params: ScoreParams) -> np.ndarray:
     if p.ndim == 2:
         return _label_scores_of_rows(p, np.asarray(u, dtype=float)[:, None], params)
     n = len(p)
-    asc = np.sort(p)
+    asc = p.copy()
+    asc.sort()  # in place: np.sort's wrapper costs more than the sort of K labels
     # count of entries >= p[y] (ties inclusive)
     k = n - asc.searchsorted(p, side="left")
     # mass of entries strictly greater than p[y]
@@ -341,12 +342,6 @@ def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:
     """Supremum of miscoverage levels whose threshold still covers true_score.
 
     Inverts the quantile level from the rank of true_score in the sorted
-    store. Empty store: 1.0 by convention (every threshold is +inf).
+    store. An empty store gives 1.0 (every threshold is +inf).
     """
-    n = store.count
-    if n == 0:
-        return 1.0
-    t = n + 1
-    # 1-based index of the first stored score >= true_score; n+1 if none
-    r = store.rank(true_score) + 1
-    return 1.0 - (r - 1) / t
+    return 1.0 - store.rank(true_score) / (store.count + 1)

@@ -70,6 +70,8 @@ class StreamConfig:
     schedule: str = "gradual"
 
     def __post_init__(self):
+        if self.n_labels < 1:
+            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.batch_size < 1:

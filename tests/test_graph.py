@@ -129,9 +129,8 @@ def test_select_node_degenerate_pmf():
     g = FeedbackGraph(
         adjacency=np.array([[True, False], [False, True]]),
         connect_pmf=np.full((2, 2), 0.5),
-        node_weights=np.array([0.0, 1.0]),
-        node_pmf=np.array([0.0, 1.0]),
         n_trials=1,
+        weights=np.array([0.0, 1.0]),
     )
     rng = stream_rng(8, "n")
     assert all(select_node(g, rng) == 1 for _ in range(20))
@@ -141,9 +140,8 @@ def test_select_node_frequencies():
     g = FeedbackGraph(
         adjacency=np.array([[True, False], [False, True]]),
         connect_pmf=np.full((2, 2), 0.5),
-        node_weights=np.array([0.3, 0.7]),
-        node_pmf=np.array([0.3, 0.7]),
         n_trials=1,
+        weights=np.array([0.3, 0.7]),
     )
     rng = stream_rng(9, "n")
     hits = sum(select_node(g, rng) for _ in range(100_000))
@@ -154,9 +152,8 @@ def test_effective_subset_from_row():
     g = FeedbackGraph(
         adjacency=np.array([[True, False, True, False]]),
         connect_pmf=np.full((1, 4), 0.25),
-        node_weights=np.array([2.0]),
-        node_pmf=np.array([1.0]),
         n_trials=2,
+        weights=np.ones(4),
     )
     assert effective_subset(g, 0) == (0, 2)
 

@@ -399,6 +399,15 @@ def test_policy_config_validation():
         policy_config(2, 6, eta=0.0)
 
 
+@pytest.mark.parametrize("key", ["coma_gamma", "aci_lr"])
+def test_policy_config_rejects_a_negative_rate(key):
+    """A negative ``aci_lr`` walks the level away from the target (every label in
+    the set), and a negative ``coma_gamma`` rewards large sets; 0 stays valid."""
+    with pytest.raises(ValueError, match=f"{key} must be >= 0, got -0.05"):
+        policy_config(1, 6, **{key: -0.05})
+    assert getattr(policy_config(1, 6, **{key: 0.0}), key) == 0.0
+
+
 @pytest.mark.parametrize("shape, label, message", [
     ((8, 10), 0, r"probs has shape \(8, 10\), expected \(8, 20\)"),
     ((4, 20), 0, r"probs has shape \(4, 20\), expected \(8, 20\)"),

@@ -198,6 +198,23 @@ def test_negative_seed_fails_before_the_results_file_is_opened(tmp_path):
     assert (tmp_path / "results.csv").read_bytes() == before
 
 
+def test_repeated_seed_fails_before_the_results_file_is_opened(tmp_path):
+    """A repeated seed would be written twice and averaged twice in the summary."""
+    with pytest.raises(ValueError, match="seed 0 appears more than once"):
+        parse_config(tiny_doc(seeds=[0, 1, 0]), base_dir=str(tmp_path))
+    cfg = parse_config(tiny_doc(seeds=[0]), base_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="seed 0 appears more than once"):
+        run_experiment(replace(cfg, seeds=(0, 0)))
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_gen_stream_rejects_a_label_count_below_one(tmp_path):
+    with pytest.raises(ValueError, match="n_labels must be >= 1, got 0"):
+        main(["gen-stream", "--config", str(write_config(tmp_path, {"n_labels": 0})),
+              "--out", str(tmp_path / "s.csv")])
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("policy", ["gmocp", "egmocp"])
 def test_missing_graph_fails_before_the_results_file_is_opened(tmp_path, policy):
     """A config built in code can leave out the graph, which JSON configs always set."""
