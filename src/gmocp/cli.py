@@ -60,7 +60,12 @@ def main(argv=None) -> int:
         grid = {}
         for item in args.grid:
             key, _, vals = item.partition("=")
-            grid[key.upper()] = _parse_grid(vals)
+            try:
+                grid[key.upper()] = _parse_grid(vals)
+            except ValueError:
+                print(f"sweep grid {item!r} is not a comma-separated list of integers",
+                      file=sys.stderr)
+                return 2
         if set(grid) != {"N", "J"}:
             print("sweep grid must specify N=... and J=...", file=sys.stderr)
             return 2

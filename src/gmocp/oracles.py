@@ -181,7 +181,7 @@ def importance_loss_montecarlo(losses, connect_pmf, node_pmf, n_trials: int,
     """Monte-Carlo E[importance-weighted loss] per model on a frozen state.
 
     Freezes the node-selection PMF and inclusion probabilities, then redraws
-    the adjacency rows and the selected node independently each iteration;
+    the graph rows and the selected node independently each iteration;
     models outside the realized subset contribute zero that round.
     """
     rng = stream_rng(seed, "oracle/unbiased")

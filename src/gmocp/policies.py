@@ -91,6 +91,10 @@ class PolicyConfig:
     def __post_init__(self):
         if self.n_models < 1:
             raise ValueError(f"n_models must be >= 1, got {self.n_models}")
+        for key in ("eta", "epsilon", "coma_gamma", "aci_lr", "alpha_init"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not 0 < self.target_alpha < 1:
             raise ValueError(f"target_alpha must be in (0, 1), got {self.target_alpha}")
         if self.epsilon <= 0:
@@ -315,7 +319,8 @@ class GMOCPPolicy(_BasePolicy):
             self._log = ScoreLog(self._stores)
 
     def _select(self):
-        graph = generate_graph(self.weights, self.cfg.graph, self._rng_graph)
+        w = self.weights
+        graph = generate_graph(w, self.cfg.graph, self._rng_graph)
         node = select_node(graph, self._rng_node)
         subset = effective_subset(graph, node)
 
@@ -323,7 +328,7 @@ class GMOCPPolicy(_BasePolicy):
         if len(subset) == 1:
             chosen = subset[0]
         else:
-            cdf = np.cumsum(np.array([self.w[m] for m in subset]))
+            cdf = np.cumsum(w.take(subset))
             idx = int(np.searchsorted(cdf, draw * cdf[-1], side="right"))
             chosen = subset[min(idx, len(subset) - 1)]
         return node, subset, [graph.inclusion_of(m) for m in subset], chosen

@@ -344,6 +344,10 @@ def run_sweep(cfg: ExperimentConfig, n_values, j_values, resume: bool = False,
     """
     if cfg.policy_params.graph is None:
         raise ValueError("sweep requires a graph-based policy (gmocp or egmocp)")
+    for name, values in (("N", n_values), ("J", j_values)):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"sweep {name} values must be non-empty and distinct, "
+                             f"got {list(values)}")
     eta_e = cfg.policy_params.graph.eta_e
     if len(set(eta_e)) > 1:
         raise ValueError("sweep gives every node one exploration coefficient, but "

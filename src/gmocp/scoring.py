@@ -28,6 +28,8 @@ class ScoreParams:
     n_labels: int
 
     def __post_init__(self):
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         if self.xi < 0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
         if self.n_labels < 1:

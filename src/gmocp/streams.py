@@ -9,6 +9,7 @@ and parallel sweeps with exact replay.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +56,10 @@ class ModelProfile:
     def __post_init__(self):
         if self.quality not in QUALITY_SIGNAL:
             raise ValueError(f"unknown quality {self.quality!r}")
+        for key in ("noise_scale", "temperature"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
         if self.temperature <= 0:

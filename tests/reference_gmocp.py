@@ -31,6 +31,12 @@ def _pick(pmf, draw):
     return len(pmf) - 1
 
 
+def node_pmf(weights, rows):
+    """Each row's summed model weights, in row order, over the sum of those sums."""
+    node_w = [sum(weights[m] for m in row) for row in rows]
+    return [w / sum(node_w) for w in node_w]
+
+
 def _score(p, y, u, xi, k_reg):
     py = p[y]
     k_y = sum(1 for x in p if x >= py)
@@ -99,9 +105,8 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
                 members.add(_pick(pmfs[j], float(rng_graph.random())))
             rows.append(sorted(members))
 
-        node_w = [sum(weights[m] for m in row) for row in rows]
-        node_pmf = [w / sum(node_w) for w in node_w]
-        node = 0 if n_selective == 1 else _pick(node_pmf, float(rng_node.random()))
+        node_p = node_pmf(weights, rows)
+        node = 0 if n_selective == 1 else _pick(node_p, float(rng_node.random()))
         subset = rows[node]
 
         model_draw = float(rng_model.random())
@@ -127,7 +132,7 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
             if m == chosen:
                 chosen_loss = loss
             q = sum(
-                node_pmf[j] * (1.0 - (1.0 - pmfs[j][m]) ** max_links)
+                node_p[j] * (1.0 - (1.0 - pmfs[j][m]) ** max_links)
                 for j in range(n_selective)
             ) if n_selective > 1 else 1.0 - (1.0 - pmfs[0][m]) ** max_links
             exponent = (1.0 - beta) * (loss / q) / scale

@@ -15,6 +15,8 @@ from gmocp.graph import (
 from gmocp.oracles import inclusion_prob_enumerate, inclusion_prob_montecarlo
 from gmocp.rng import stream_rng
 
+from reference_gmocp import node_pmf as reference_node_pmf
+
 
 def inclusion(g: FeedbackGraph) -> np.ndarray:
     return inclusion_probabilities(g.connect_pmf, g.node_pmf, g.n_trials)
@@ -43,6 +45,17 @@ def test_connection_pmf_pure_weights():
     assert ((1 - 0.0) * w / w.sum() + 0.0 / 2) == pytest.approx([0.75, 0.25])
     pmf = connection_pmf(w, 0.5)
     assert pmf == pytest.approx([0.625, 0.375])
+
+
+def test_connection_pmf_is_the_pmf_the_graph_draws_from():
+    """Bit for bit, so bounds and enumerations built on it use the policy's PMF."""
+    rng = stream_rng(12, "t")
+    for _ in range(200):
+        m = int(rng.integers(2, 40))
+        w = rng.uniform(0.01, 10.0, size=m)
+        eta_e = float(rng.uniform(0.01, 1.0))
+        g = generate_graph(w, GraphParams.uniform(1, 2, eta_e), rng)
+        assert np.array_equal(connection_pmf(w, eta_e), g.connect_pmf[0])
 
 
 def test_connection_pmf_rejects_bad_weights():
@@ -104,11 +117,12 @@ def test_graph_invariants():
     for _ in range(50):
         w = rng.uniform(0.1, 5.0, size=6)
         g = generate_graph(w, params, rng)
-        row_sums = g.adjacency.sum(axis=1)
-        assert np.all((1 <= row_sums) & (row_sums <= 3))
+        assert len(g.rows) == 4
+        for row in g.rows:
+            assert 1 <= len(row) <= 3
+            assert list(row) == sorted(set(row)) and 0 <= row[0] and row[-1] < 6
         assert g.connect_pmf.sum(axis=1) == pytest.approx(np.ones(4))
         assert g.node_pmf.sum() == pytest.approx(1.0)
-        assert g.node_weights == pytest.approx(g.adjacency @ w)
 
 
 def test_generate_graph_deterministic():
@@ -116,7 +130,18 @@ def test_generate_graph_deterministic():
     w = np.array([1.0, 2.0, 3.0])
     g1 = generate_graph(w, params, stream_rng(6, "t"))
     g2 = generate_graph(w, params, stream_rng(6, "t"))
-    assert np.array_equal(g1.adjacency, g2.adjacency)
+    assert g1.rows == g2.rows
+
+
+@pytest.mark.parametrize("n_selective", [2, 3, 4])
+def test_node_pmf_is_the_plain_row_sum(n_selective):
+    """The node weights are the reference's float sums in row order, bit for bit."""
+    params = GraphParams.uniform(n_selective, 3, 0.3)
+    rng = stream_rng(13, "t")
+    for _ in range(200):
+        w = rng.uniform(0.01, 10.0, size=8)
+        g = generate_graph(w, params, rng)
+        assert g.node_pmf.tolist() == reference_node_pmf(w.tolist(), g.rows)
 
 
 def test_select_node_single():
@@ -127,7 +152,7 @@ def test_select_node_single():
 
 def test_select_node_degenerate_pmf():
     g = FeedbackGraph(
-        adjacency=np.array([[True, False], [False, True]]),
+        rows=((0,), (1,)),
         connect_pmf=np.full((2, 2), 0.5),
         n_trials=1,
         weights=np.array([0.0, 1.0]),
@@ -138,7 +163,7 @@ def test_select_node_degenerate_pmf():
 
 def test_select_node_frequencies():
     g = FeedbackGraph(
-        adjacency=np.array([[True, False], [False, True]]),
+        rows=((0,), (1,)),
         connect_pmf=np.full((2, 2), 0.5),
         n_trials=1,
         weights=np.array([0.3, 0.7]),
@@ -150,7 +175,7 @@ def test_select_node_frequencies():
 
 def test_effective_subset_from_row():
     g = FeedbackGraph(
-        adjacency=np.array([[True, False, True, False]]),
+        rows=((0, 2),),
         connect_pmf=np.full((1, 4), 0.25),
         n_trials=2,
         weights=np.ones(4),

@@ -187,6 +187,31 @@ def test_config_errors_fire_before_the_results_file_is_opened(tmp_path, policy, 
     assert (tmp_path / "results.csv").read_bytes() == before
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("policy, params, stream, message", [
+    ("gmocp", {"eta": INF}, {}, "eta must be finite, got inf"),
+    ("mocp", {"epsilon": NAN}, {}, "epsilon must be finite, got nan"),
+    ("coma", {"coma_gamma": INF}, {}, "coma_gamma must be finite, got inf"),
+    ("aci", {"aci_lr": NAN}, {}, "aci_lr must be finite, got nan"),
+    ("mocp", {"alpha_init": NAN}, {}, "alpha_init must be finite, got nan"),
+    ("mocp", {"xi": NAN}, {}, "xi must be finite, got nan"),
+    ("mocp", {}, {"noise_scale": NAN}, "noise_scale must be finite, got nan"),
+    ("mocp", {}, {"temperature": INF}, "temperature must be finite, got inf"),
+], ids=["eta", "epsilon", "coma_gamma", "aci_lr", "alpha_init", "xi", "noise_scale",
+        "temperature"])
+def test_a_non_finite_setting_fails_before_the_results_file_is_opened(tmp_path, policy,
+                                                                      params, stream,
+                                                                      message):
+    """``json`` reads NaN and Infinity, which would give a silent NaN or a late crash."""
+    doc = tiny_doc(policy=policy, policy_params=params)
+    doc["stream"]["profiles"] = [{"quality": "high", **stream}, "low"]
+    with pytest.raises(ValueError, match=message):
+        main(["run", "--config", str(write_config(tmp_path, doc))])
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_negative_seed_fails_before_the_results_file_is_opened(tmp_path):
     cfg = parse_config(tiny_doc(), base_dir=str(tmp_path))
     run_experiment(cfg)
@@ -541,6 +566,18 @@ def test_sweep_rejects_per_node_eta_e_before_the_results_file_is_opened(tmp_path
     assert list(run_sweep(same, [3], [2])) == [same.config_id()]
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["N=3,3", "J=1"], r"sweep N values must be non-empty and distinct, got \[3, 3\]"),
+    (["N=", "J=1"], r"sweep N values must be non-empty and distinct, got \[\]"),
+    (["N=1", "J=2,1,2"], r"sweep J values must be non-empty and distinct, got \[2, 1, 2\]"),
+])
+def test_sweep_rejects_an_empty_or_repeated_grid_before_the_results_file_is_opened(
+        tmp_path, grid, message):
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", "--config", str(write_config(tmp_path, tiny_doc())), "--grid", *grid])
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_sweep_requires_graph_policy(tmp_path):
     cfg = parse_config(tiny_doc(policy="mocp", policy_params={}), base_dir=str(tmp_path))
     with pytest.raises(ValueError):
@@ -565,6 +602,13 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--grid", "N=1,2", "X=1"]) == 2
     with pytest.raises(SystemExit):
         main(["sweep", "--config", str(path), "--grid", "N=1,2"])
+
+
+def test_cli_sweep_rejects_a_grid_that_is_not_integers(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_doc())
+    assert main(["sweep", "--config", str(path), "--grid", "N=x", "J=1"]) == 2
+    assert "sweep grid 'N=x' is not a comma-separated list of integers" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_cli_oracle(capsys):
