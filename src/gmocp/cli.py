@@ -11,8 +11,19 @@ from .runner import TOP_KEYS, load_config, parse_stream_config, run_experiment, 
 from .streams import generate_stream, save_stream
 
 
-def _parse_grid(text: str) -> list:
-    return [int(v) for v in text.split(",") if v]
+def _parse_grid(items) -> dict:
+    """``--grid N=1,3 J=1,2`` as {"N": [1, 3], "J": [1, 2]}."""
+    grid = {}
+    for item in items:
+        key, _, vals = item.partition("=")
+        try:
+            grid[key.upper()] = [int(v) for v in vals.split(",") if v]
+        except ValueError:
+            raise ValueError(f"sweep grid {item!r} is not a comma-separated list of "
+                             "integers") from None
+    if set(grid) != {"N", "J"}:
+        raise ValueError("sweep grid must specify N=... and J=...")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,8 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a config or stream error prints one line and exits 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (OSError, ValueError) as exc:  # ValueError covers StreamFormatError and bad JSON
+        print(f"gmocp {args.command}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "run":
         cfg = load_config(args.config)
         rows = run_experiment(cfg, resume=args.resume, timing=args.timing, trace=args.trace)
@@ -56,19 +75,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = load_config(args.config)
-        grid = {}
-        for item in args.grid:
-            key, _, vals = item.partition("=")
-            try:
-                grid[key.upper()] = _parse_grid(vals)
-            except ValueError:
-                print(f"sweep grid {item!r} is not a comma-separated list of integers",
-                      file=sys.stderr)
-                return 2
-        if set(grid) != {"N", "J"}:
-            print("sweep grid must specify N=... and J=...", file=sys.stderr)
-            return 2
+        cfg, grid = load_config(args.config), _parse_grid(args.grid)
         by_id = run_sweep(cfg, grid["N"], grid["J"], resume=args.resume, timing=args.timing)
         print(f"swept {len(by_id)} configs -> {cfg.output}.csv")
         return 0
@@ -78,21 +85,17 @@ def main(argv=None) -> int:
         print(report.summary())
         return 0 if report.passed else 1
 
-    if args.command == "gen-stream":
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        # an experiment config, or a bare stream document
-        is_experiment = isinstance(doc, dict) and doc.keys() & TOP_KEYS
-        stream_cfg = load_config(args.config).stream if is_experiment else parse_stream_config(doc)
-        if stream_cfg is None:
-            print("gen-stream needs a synthetic stream, not a stream file", file=sys.stderr)
-            return 2
-        save_stream(generate_stream(stream_cfg, master_seed=args.seed),
-                    stream_cfg.n_labels, args.out)
-        print(f"wrote {stream_cfg.horizon} steps to {args.out}")
-        return 0
-
-    return 2
+    # gen-stream
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    # an experiment config, or a bare stream document
+    is_experiment = isinstance(doc, dict) and doc.keys() & TOP_KEYS
+    stream_cfg = load_config(args.config).stream if is_experiment else parse_stream_config(doc)
+    if stream_cfg is None:
+        raise ValueError("gen-stream needs a synthetic stream, not a stream file")
+    save_stream(generate_stream(stream_cfg, master_seed=args.seed), stream_cfg.n_labels, args.out)
+    print(f"wrote {stream_cfg.horizon} steps to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

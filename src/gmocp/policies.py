@@ -16,28 +16,24 @@ Per-step draw order (fixed, relied upon by replay tests):
   4. one uniform for model selection (not COMA/ACI),
   5. one uniform for the voting threshold (COMA only).
 
-Deferred score log: a step scores the true label under every model, and every
-score goes into that model's calibration store, a sorted run of float64 blocks
+Deferred score log: every score goes into its model's calibration store
 (``scoring.CalibrationStore``). When a step reads only its subset's stores
 (GMOCP/EGMOCP with M at least ``DEFER_MODELS_PER_LINK`` times the subset bound
-N, and ``track_alpha_bar`` off), the step writes its M scores as one row of a
-``ScoreLog`` in one numpy assignment, and a store is brought up to date only
-just before it is read, by one ``CalibrationStore.merge`` of its pending
-scores (a stable sort, then, per block they land in, one numpy search and
-insert, or an insort each for fewer than ``scoring.MERGE_FROM`` of them): the
-subset's stores each step, and every store when the log fills or
-``policy.calibrations`` is read. Every store holds the same scores in the same
-order at every read as with one insert per score, so every output is
-bit-identical (for scores that are not NaN: a NaN probability makes a NaN
-score, which an insert and a merge may place differently). MOCP (whose subset
-is every model), COMA, ACI, tracked alpha_bar and small pools insert each
-score as it comes (``scoring.insert_each``).
+N, and ``track_alpha_bar`` off), it writes its M scores as one row of a
+``ScoreLog``, and a store takes its pending scores in one
+``CalibrationStore.merge`` just before it is read: the subset's stores each
+step, and every store when the log fills or ``policy.calibrations`` is read.
+Every store then holds the same scores in the same order at every read as with
+one insert per score (NaN scores aside), so every output is bit-identical. MOCP,
+COMA, ACI, tracked alpha_bar and small pools insert each score as it comes.
 
-Full-information steps: MOCP updates every model in one plain loop on Python
-floats (``MOCPPolicy._update``), with ``math.exp`` for each weight factor (numpy's
-vectorized exp rounds some arguments differently). COMA scores all M x K labels
-in one ``all_label_scores`` call; the graph policies call the helpers for their
-subset of at most N models.
+Scores: a step sorts its M rows once, and every score it needs comes from that
+sort through ``scoring``'s one score arithmetic: the chosen model's set, the M
+stored scores, EGMOCP's set sizes for its subset (one call) and COMA's M x K
+vote (one call). So a stored score equals its set's score for the true label,
+ties included. MOCP updates every model in one plain loop on Python floats
+(``MOCPPolicy._update``), with ``math.exp`` for each weight factor (numpy's
+vectorized exp rounds some arguments differently).
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from .scoring import (
     all_model_scores,
     build_prediction_set,
     insert_each,
-    nonconformity_score,
     optimal_alpha_bar,
     prediction_set_size,
     quantile_threshold,
@@ -169,7 +164,8 @@ class _BasePolicy:
     gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
     ``step`` is every policy's step: ``_draw_u``, ``_select``, bring the subset's
-    stores up to date, ``_predict``, test the true label, ``_update``, and build the
+    stores up to date, sort the rows (``asc``), ``_predict``, test the true label,
+    score the true label under every model, ``_update``, and build the
     ``StepRecord``. A subclass supplies ``_select`` and may replace the other hooks:
     GMOCP and MOCP predict from the chosen model, COMA by a vote and ACI from model
     0. Only an update that changes the weights rescales them. A subclass whose steps
@@ -213,8 +209,8 @@ class _BasePolicy:
             self.w = [math.ldexp(x, shift) for x in self.w]
 
     def _checked(self, probs, true_label: int) -> np.ndarray:
-        """``probs`` as a float array; a shape other than (M, K) or a label outside
-        [0, K) raises ``ValueError``."""
+        """``probs`` as a float array (only row 0 for ACI); a shape other than (M, K)
+        or a label outside [0, K) raises ``ValueError``."""
         probs = np.asarray(probs, dtype=float)
         m, k = self.cfg.n_models, self.cfg.score.n_labels
         if self.reads_model_0_only and probs.ndim == 2 and len(probs):
@@ -223,7 +219,7 @@ class _BasePolicy:
             raise ValueError(f"{self.name}: probs has shape {probs.shape}, expected ({m}, {k})")
         if not 0 <= true_label < k:
             raise ValueError(f"{self.name}: true_label {true_label} outside [0, {k})")
-        return probs
+        return probs[:1] if self.reads_model_0_only else probs
 
     def _draw_u(self) -> np.ndarray:
         """Per-model tie-break uniforms (a single shared draw when configured)."""
@@ -235,22 +231,27 @@ class _BasePolicy:
         """(node, subset, inclusion probability of each subset model, chosen model)."""
         raise NotImplementedError
 
-    def _predict(self, probs, u_vec, chosen):
+    def _predict(self, probs, asc, u_vec, chosen):
         """This step's prediction set: the chosen model's set at its level."""
-        threshold = quantile_threshold(self._stores[chosen], self.alphas[chosen])
-        return build_prediction_set(probs[chosen], threshold, u_vec[chosen], self.cfg.score)
+        thr = quantile_threshold(self._stores[chosen], self.alphas[chosen])
+        return build_prediction_set(probs[chosen], thr, u_vec[chosen], self.cfg.score, asc[chosen])
 
-    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
-        """Score the true label under every model, update the subset's weights and
-        levels, then store every score; returns the chosen model's loss and, when
-        tracked, every model's alpha_bar."""
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
+        """Size the subset's sets at their levels when beta > 0, update the subset's
+        weights and levels, then store every model's score of the true label
+        (``scores``); returns the chosen model's loss and, when tracked, every
+        model's alpha_bar."""
         cfg = self.cfg
         w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self._stores
-        scores = all_model_scores(probs, true_label, u_vec, cfg.score)
         values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
+        if beta > 0.0:  # a set's size does not depend on label order: sort order will do
+            rows = list(subset)
+            sizes = dict(zip(subset, prediction_set_size(
+                asc[rows], [quantile_threshold(stores[m], alphas[m]) for m in subset],
+                u_vec[rows], cfg.score)))
         for m, q in zip(subset, inclusion):
             alpha = alphas[m]
             a_bar = (alpha_bars[m] if alpha_bars is not None
@@ -260,12 +261,7 @@ class _BasePolicy:
                 chosen_loss = loss
             exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
-                if m == chosen:
-                    size = pred.size
-                else:
-                    thr = quantile_threshold(stores[m], alpha)
-                    size = prediction_set_size(probs[m], thr, u_vec[m], cfg.score)
-                exponent += beta * size
+                exponent += beta * sizes[m]
             w[m] *= math.exp(-epsilon * exponent)
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
@@ -284,10 +280,12 @@ class _BasePolicy:
         node, subset, inclusion, chosen = self._select()
         if self._log is not None:
             self._log.sync(subset)  # chosen is in subset
-        pred = self._predict(probs, u_vec, chosen)
+        asc = probs.copy()
+        asc.sort()  # one sort of every row, from which every score of the step reads
+        pred = self._predict(probs, asc, u_vec, chosen)
         err = int(true_label not in pred.labels)
-        chosen_loss, alpha_bars = self._update(probs, true_label, u_vec, pred, err, subset,
-                                               inclusion, chosen)
+        scores = all_model_scores(probs, true_label, u_vec, self.cfg.score, asc)
+        chosen_loss, alpha_bars = self._update(asc, u_vec, scores, err, subset, inclusion, chosen)
         record = StepRecord(t=self.t, chosen_model=chosen, set_size=pred.size, err=err,
                             node=node, subset=subset, chosen_loss=chosen_loss,
                             wall_nanos=time.perf_counter_ns() - start, alpha_bars=alpha_bars)
@@ -352,7 +350,7 @@ class MOCPPolicy(_BasePolicy):
         w = self.weights
         return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
-    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
         """``_BasePolicy._update`` for every model, with the helpers written out.
 
         Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
@@ -365,7 +363,7 @@ class MOCPPolicy(_BasePolicy):
         target, eta, neg_eps = cfg.target_alpha, cfg.eta, -cfg.epsilon
         w, alphas, grad_sq = self.w, self.alphas, self.grad_sq
         exp, sqrt = math.exp, math.sqrt
-        values = all_model_scores(probs, true_label, u_vec, cfg.score).tolist()
+        values = scores.tolist()
         a_bars = rank_fractions(self._stores, values)
         for m, a_bar in enumerate(a_bars):
             alpha = alphas[m]
@@ -407,11 +405,12 @@ class COMAPolicy(_BasePolicy):
     def _select(self):
         return -1, self._subset, (), -1
 
-    def _predict(self, probs, u_vec, chosen):
+    def _predict(self, probs, asc, u_vec, chosen):
         """The vote over every model's set at the shared level; then each model's
         weight shrinks by ``exp(-coma_gamma * size)`` of its set."""
         thresholds = [quantile_threshold(store, self.shared_alpha) for store in self._stores]
-        membership = all_label_scores(probs, u_vec, self.cfg.score) <= np.array(thresholds)[:, None]
+        membership = (all_label_scores(probs, u_vec, self.cfg.score, asc)
+                      <= np.array(thresholds)[:, None])
         weights = self.weights
         pred = PredictionSet(vote_set(membership, weights / weights.sum(),
                                       float(self._rng_vote.random())))
@@ -421,10 +420,10 @@ class COMAPolicy(_BasePolicy):
         self._rescale_weights()
         return pred
 
-    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
         """Store every model's score; move the shared level by this step's miss."""
         cfg = self.cfg
-        insert_each(self._stores, all_model_scores(probs, true_label, u_vec, cfg.score).tolist())
+        insert_each(self._stores, scores.tolist())
         self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
             self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)
         return 0.0, None
@@ -443,16 +442,13 @@ class ACIPolicy(_BasePolicy):
             raise ValueError("ACI is single-model; set n_models=1")
         super().__init__(cfg, master_seed)
 
-    def _draw_u(self):
-        return (self._rng_u.random(),)  # the double random(1) would hold, without the array
-
     def _select(self):
         return -1, (0,), (), 0
 
-    def _update(self, probs, true_label, u_vec, pred, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
         """Store model 0's score; move its level by ``aci_lr`` toward the target."""
         cfg = self.cfg
-        self._stores[0].insert(nonconformity_score(probs[0], true_label, u_vec[0], cfg.score))
+        self._stores[0].insert(scores[0])
         self.alphas[0] += cfg.aci_lr * (cfg.target_alpha - err)
         return 0.0, None
 

@@ -1,10 +1,15 @@
 """Nonconformity scoring, calibration storage, thresholds and prediction sets.
 
-The score for a candidate label combines a rank regularizer, a randomized
-tie-breaking term and the total probability mass ranked strictly above the
-candidate. Thresholds come from an empirical quantile of the calibration
-scores; the quantile level may leave [0, 1] (the adaptive miscoverage
-probability ranges over [-eta, 1+eta]), which clamps the threshold to +/-inf.
+The score of label y under probabilities p (K,) with tie-break u is a rank
+regularizer, ``xi * sqrt(max(k - k_reg, 0))`` with k = count(p >= p[y]), plus
+``u * p[y]``, plus the mass strictly above p[y]. Every score, a set's or a stored
+one, comes from one arithmetic (``_scores``): sort the row ascending, take its
+running sum acc, and the mass above is ``acc[K-1] - acc[last]``, where last =
+count(p <= p[y]) - 1 ends y's ties. So a set and the store it is compared with
+agree bit for bit, ties included. Thresholds come from an empirical quantile of
+the calibration scores; the quantile level may leave [0, 1] (the adaptive
+miscoverage probability ranges over [-eta, 1+eta]), which clamps the threshold
+to +/-inf.
 """
 
 from __future__ import annotations
@@ -240,76 +245,64 @@ def validate_prob_vector(p: np.ndarray, n_labels: int, tol: float = 1e-6) -> np.
 
 
 def nonconformity_score(p: np.ndarray, y: int, u: float, params: ScoreParams) -> float:
-    """Score of candidate label y given model probabilities p and tie-break u.
-
-    Rank counts ties as at-or-above (>=); the accumulated mass above uses
-    strictly-greater probabilities only.
-    """
-    p = np.asarray(p, dtype=float)
+    """Score of candidate label y given model probabilities p and tie-break u."""
     if not 0 <= y < params.n_labels:
         raise ValueError(f"label {y} out of range [0, {params.n_labels})")
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must be in [0, 1], got {u}")
-    py = float(p[y])
-    k_y = int(np.count_nonzero(p >= py))
-    rho = float(np.add.reduce(p[p > py]))  # ndarray.sum, without its Python wrapper
-    return params.xi * math.sqrt(max(k_y - params.k_reg, 0)) + u * py + rho
+    return float(all_label_scores(p, u, params)[y])
 
 
-def all_label_scores(p: np.ndarray, u, params: ScoreParams) -> np.ndarray:
+def _scores(p, u, k, total, below, params: ScoreParams) -> np.ndarray:
+    """The one score arithmetic, ``rank_penalty[k] + u * p + (total - below)``: p has
+    rank k = count(>= p) in its row, and total and below are the running sums of the
+    ascending row at its end and at the last of p's ties."""
+    return params.rank_penalty[k] + u * p + (total - below)
+
+
+def _sorted_scores(asc: np.ndarray, u: np.ndarray, params: ScoreParams) -> np.ndarray:
+    """The score of each entry of the ascending rows ``asc`` (S, K), tie-breaks ``u``
+    (S, 1). An entry's tie group starts at the last group start at or before it,
+    which gives its rank k, and ends at the first group end at or after it."""
+    rows, n = asc.shape
+    starts = np.ones((rows, n + 1), dtype=bool)  # a tie group starts at position j
+    np.not_equal(asc[:, 1:], asc[:, :-1], out=starts[:, 1:-1])
+    k = np.minimum.accumulate(np.where(starts[:, :-1], np.arange(n, 0, -1), n), axis=1)
+    flat = np.arange(rows * n).reshape(rows, n)[:, ::-1]  # positions in the raveled rows
+    last = np.minimum.accumulate(np.where(starts[:, :0:-1], flat, rows * n), axis=1)[:, ::-1]
+    acc = np.add.accumulate(asc, axis=1)
+    return _scores(asc, u, k, acc[:, -1:], acc.ravel()[last], params)
+
+
+def all_label_scores(p: np.ndarray, u, params: ScoreParams, asc=None) -> np.ndarray:
     """Vectorized nonconformity_score over every candidate label.
 
     ``p`` is one probability vector (K,) with a scalar ``u``, or S of them (S, K) with
     one tie-break each in ``u`` (S,); each row of the (S, K) result equals, bit for
     bit, the (K,) result for that row alone. K is at most ``params.n_labels``.
+    ``asc``, if the caller has it, is ``np.sort(p)``.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim == 2:
-        return _label_scores_of_rows(p, np.asarray(u, dtype=float)[:, None], params)
-    n = len(p)
-    asc = p.copy()
-    asc.sort()  # in place: np.sort's wrapper costs more than the sort of K labels
-    # count of entries >= p[y] (ties inclusive)
-    k = n - asc.searchsorted(p, side="left")
-    # mass of entries strictly greater than p[y]
-    csum = np.zeros(n + 1)
-    asc.cumsum(out=csum[1:])
-    rho = csum[n] - csum[asc.searchsorted(p, side="right")]
-    return params.rank_penalty[k] + u * p + rho
+    asc = np.sort(p) if asc is None else asc
+    if p.ndim == 1:  # one row: two searches rank every label
+        acc, k = np.add.accumulate(asc), len(p) - asc.searchsorted(p, side="left")
+        return _scores(p, u, k, acc[-1], acc[asc.searchsorted(p, side="right") - 1], params)
+    scores = np.empty_like(p)
+    u = np.asarray(u, dtype=float)[:, None]
+    scores[np.arange(len(p))[:, None], p.argsort(axis=1)] = _sorted_scores(asc, u, params)
+    return scores
 
 
-def _label_scores_of_rows(p: np.ndarray, u: np.ndarray, params: ScoreParams) -> np.ndarray:
-    """``all_label_scores`` of each row of ``p`` (S, K), with tie-breaks ``u`` (S, 1)."""
-    rows, n = p.shape
-    asc = np.sort(p, axis=1)
-    # complex numbers order by (real, imag): keys (row, value) put the rows one after
-    # another, each in ascending order, so one search ranks every row in its own row
-    keys = np.empty((rows, n), dtype=complex)
-    keys.real = np.arange(rows)[:, None]
-    keys.imag = asc
-    queries = keys.copy()
-    queries.imag = p
-    keys, queries = keys.ravel(), queries.ravel()
-    offset = np.arange(0, rows * n, n)[:, None]
-    k = n - (np.searchsorted(keys, queries, side="left").reshape(rows, n) - offset)
-    right = np.searchsorted(keys, queries, side="right").reshape(rows, n) - offset
-    csum = np.zeros((rows, n + 1))
-    np.cumsum(asc, axis=1, out=csum[:, 1:])
-    rho = csum[:, -1:] - np.take_along_axis(csum, right, axis=1)
-    return params.rank_penalty[k] + u * p + rho
-
-
-def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: ScoreParams) -> np.ndarray:
-    """nonconformity_score of the true label under every model at once.
-
-    probs is (M, K); u_vec holds one tie-break uniform per model.
-    """
+def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: ScoreParams,
+                     asc=None) -> np.ndarray:
+    """nonconformity_score of the true label under every model at once: probs is
+    (M, K), ``asc`` its ``np.sort`` if the caller has it, u_vec (M,)."""
     probs = np.asarray(probs, dtype=float)
-    py = probs[:, y]
-    column = py[:, None]
-    k_y = (probs >= column).sum(axis=1)
-    rho = np.where(probs > column, probs, 0.0).sum(axis=1)
-    return params.rank_penalty[k_y] + u_vec * py + rho
+    asc = np.sort(probs) if asc is None else asc
+    py, count = probs[:, y], np.add.reduce  # ndarray.sum, without its Python wrapper
+    col, acc = py[:, None], np.add.accumulate(asc, axis=1)
+    last = count(probs <= col, axis=1) + np.arange(-1, probs.size - 1, probs.shape[1])
+    return _scores(py, u_vec, count(probs >= col, axis=1), acc[:, -1], acc.ravel()[last], params)
 
 
 def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
@@ -329,15 +322,21 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
     return store.kth(k - 1)
 
 
-def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> PredictionSet:
+def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams,
+                         asc=None) -> PredictionSet:
     """All labels whose score is at most the threshold (shared u across labels)."""
-    scores = all_label_scores(p, u, params)
+    scores = all_label_scores(p, u, params, asc)
     return PredictionSet(frozenset((scores <= threshold).nonzero()[0].tolist()))
 
 
-def prediction_set_size(p: np.ndarray, threshold: float, u: float, params: ScoreParams) -> int:
-    """Size of build_prediction_set without materializing the label set."""
-    return int(np.count_nonzero(all_label_scores(p, u, params) <= threshold))
+def prediction_set_size(p: np.ndarray, threshold, u, params: ScoreParams):
+    """Size of build_prediction_set without the label set: an int for one row (K,),
+    or a list of S sizes for S rows (S, K) with S thresholds and S tie-breaks. A
+    size does not depend on the order of the labels, so a row may come sorted."""
+    asc = np.sort(np.asarray(p, dtype=float))
+    scores = _sorted_scores(asc.reshape(-1, asc.shape[-1]), np.asarray(u)[..., None], params)
+    sizes = np.add.reduce(scores <= np.asarray(threshold)[..., None], axis=1).tolist()
+    return sizes if asc.ndim == 2 else sizes[0]
 
 
 def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmocp import policies
 from gmocp.graph import GraphParams
 from gmocp.policies import (
     ACIPolicy,
@@ -436,3 +437,59 @@ def test_aci_step_checks_only_the_label_count():
         with pytest.raises(ValueError, match=message):
             policy.step(probs, label)
     assert policy.t == 1
+
+
+# ------------------------------------------------------- scores on tied rows
+
+def integer_rows(n_models, n_labels, horizon, seed):
+    """Rows of integers 0-3 over their sum: ties and zeros in nearly every row."""
+    rng = np.random.default_rng(seed)
+    for _ in range(horizon):
+        counts = rng.integers(0, 4, size=(n_models, n_labels)).astype(float)
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+        yield counts / counts.sum(axis=1, keepdims=True), int(rng.integers(n_labels))
+
+
+TIED_POLICIES = [("mocp", None), ("gmocp", GraphParams.uniform(1, 3, 0.1)),
+                 ("egmocp", GraphParams.uniform(4, 5, 0.1))]
+
+
+@pytest.mark.parametrize("name, graph", TIED_POLICIES, ids=["mocp", "gmocp-N3J1",
+                                                            "egmocp-N5J4"])
+def test_err_equals_the_miss_of_the_chosen_model_on_tied_rows(name, graph):
+    """The set's score of the true label and the score the store ranks are one float,
+    so the set misses exactly when the level is above the stored score's alpha_bar."""
+    cfg = PolicyConfig(n_models=8, score=ScoreParams(xi=0.0, k_reg=1, n_labels=10),
+                       graph=graph, beta=0.05 if name == "egmocp" else 0.0,
+                       track_alpha_bar=True)
+    policy = make_policy(name, cfg, 5)
+    for probs, label in integer_rows(8, 10, 2000, seed=1):
+        alphas = list(policy.alphas)
+        _, rec = policy.step(probs, label)
+        m = rec.chosen_model
+        assert rec.err == int(rec.alpha_bars[m] < alphas[m]), rec.t
+
+
+@pytest.mark.parametrize("name, graph", TIED_POLICIES + [("coma", None), ("aci", None)],
+                         ids=["mocp", "gmocp-N3J1", "egmocp-N5J4", "coma", "aci"])
+def test_every_stored_score_is_the_sets_score_on_tied_rows(name, graph, monkeypatch):
+    """Each score a step stores equals, bit for bit, the score a set of that model
+    gives the true label (``all_label_scores`` of its row)."""
+    n_models = 1 if name == "aci" else 8
+    cfg = PolicyConfig(n_models=n_models, score=ScoreParams(xi=0.0, k_reg=1, n_labels=10),
+                       graph=graph, beta=0.05 if name == "egmocp" else 0.0)
+    policy = make_policy(name, cfg, 7)
+    stored, draws = [], []
+    insert_each, insert = policies.insert_each, CalibrationStore.insert
+    monkeypatch.setattr(policies, "insert_each",
+                        lambda stores, scores: (stored.append(list(scores)),
+                                                insert_each(stores, scores)))
+    monkeypatch.setattr(CalibrationStore, "insert",
+                        lambda store, score: (stored.append([score]), insert(store, score)))
+    draw_u = policy._draw_u
+    monkeypatch.setattr(policy, "_draw_u", lambda: draws.append(draw_u()) or draws[-1])
+    for probs, label in integer_rows(n_models, 10, 300, seed=2):
+        policy.step(probs, label)
+        want = [all_label_scores(p, u, cfg.score)[label] for p, u in zip(probs, draws[-1])]
+        assert [repr(float(s)) for s in stored[-1]] == [repr(float(s)) for s in want]
+    assert len(stored) == len(draws) == 300

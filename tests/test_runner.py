@@ -43,6 +43,14 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def cli_error(capsys, *argv) -> str:
+    """The stderr of a CLI call that must exit 2 with a one-line message."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return err
+
+
 def tiny_doc(**overrides):
     doc = {
         "policy": "gmocp",
@@ -175,15 +183,16 @@ def test_every_policy_accepts_the_settings_it_reads():
     ("egmocp", {"N": 2, "J": 1, "beta": 0}, "egmocp requires beta > 0"),
     ("mocp", {"eta": 0}, "eta must be > 0"),
 ])
-def test_config_errors_fire_before_the_results_file_is_opened(tmp_path, policy, params,
-                                                              message):
+def test_config_errors_fire_before_the_results_file_is_opened(tmp_path, capsys, policy,
+                                                              params, message):
     assert main(["run", "--config", str(write_config(tmp_path, tiny_doc()))]) == 0
     before = (tmp_path / "results.csv").read_bytes()
     doc = tiny_doc(policy=policy, policy_params=params)
     with pytest.raises(ValueError, match=message):
         parse_config(doc, base_dir=str(tmp_path))
-    with pytest.raises(ValueError, match=message):
-        main(["run", "--config", str(write_config(tmp_path, doc, "late.json"))])
+    capsys.readouterr()
+    err = cli_error(capsys, "run", "--config", str(write_config(tmp_path, doc, "late.json")))
+    assert message in err
     assert (tmp_path / "results.csv").read_bytes() == before
 
 
@@ -201,14 +210,13 @@ NAN, INF = float("nan"), float("inf")
     ("mocp", {}, {"temperature": INF}, "temperature must be finite, got inf"),
 ], ids=["eta", "epsilon", "coma_gamma", "aci_lr", "alpha_init", "xi", "noise_scale",
         "temperature"])
-def test_a_non_finite_setting_fails_before_the_results_file_is_opened(tmp_path, policy,
-                                                                      params, stream,
+def test_a_non_finite_setting_fails_before_the_results_file_is_opened(tmp_path, capsys,
+                                                                      policy, params, stream,
                                                                       message):
     """``json`` reads NaN and Infinity, which would give a silent NaN or a late crash."""
     doc = tiny_doc(policy=policy, policy_params=params)
     doc["stream"]["profiles"] = [{"quality": "high", **stream}, "low"]
-    with pytest.raises(ValueError, match=message):
-        main(["run", "--config", str(write_config(tmp_path, doc))])
+    assert message in cli_error(capsys, "run", "--config", str(write_config(tmp_path, doc)))
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -233,10 +241,10 @@ def test_repeated_seed_fails_before_the_results_file_is_opened(tmp_path):
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_gen_stream_rejects_a_label_count_below_one(tmp_path):
-    with pytest.raises(ValueError, match="n_labels must be >= 1, got 0"):
-        main(["gen-stream", "--config", str(write_config(tmp_path, {"n_labels": 0})),
-              "--out", str(tmp_path / "s.csv")])
+def test_gen_stream_rejects_a_label_count_below_one(tmp_path, capsys):
+    err = cli_error(capsys, "gen-stream", "--config",
+                    str(write_config(tmp_path, {"n_labels": 0})), "--out", str(tmp_path / "s.csv"))
+    assert "n_labels must be >= 1, got 0" in err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -572,9 +580,10 @@ def test_sweep_rejects_per_node_eta_e_before_the_results_file_is_opened(tmp_path
     (["N=1", "J=2,1,2"], r"sweep J values must be non-empty and distinct, got \[2, 1, 2\]"),
 ])
 def test_sweep_rejects_an_empty_or_repeated_grid_before_the_results_file_is_opened(
-        tmp_path, grid, message):
-    with pytest.raises(ValueError, match=message):
-        main(["sweep", "--config", str(write_config(tmp_path, tiny_doc())), "--grid", *grid])
+        tmp_path, capsys, grid, message):
+    err = cli_error(capsys, "sweep", "--config", str(write_config(tmp_path, tiny_doc())),
+                    "--grid", *grid)
+    assert re.search(message, err)
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -599,15 +608,17 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--grid", "N=1,2", "J=1"]) == 0
     assert "swept 2 configs" in capsys.readouterr().out
     # wrong grid keys exit 2; a missing grid half is an argparse error
-    assert main(["sweep", "--config", str(path), "--grid", "N=1,2", "X=1"]) == 2
+    capsys.readouterr()
+    assert "must specify N=... and J=..." in cli_error(capsys, "sweep", "--config", str(path),
+                                                       "--grid", "N=1,2", "X=1")
     with pytest.raises(SystemExit):
         main(["sweep", "--config", str(path), "--grid", "N=1,2"])
 
 
 def test_cli_sweep_rejects_a_grid_that_is_not_integers(tmp_path, capsys):
     path = write_config(tmp_path, tiny_doc())
-    assert main(["sweep", "--config", str(path), "--grid", "N=x", "J=1"]) == 2
-    assert "sweep grid 'N=x' is not a comma-separated list of integers" in capsys.readouterr().err
+    err = cli_error(capsys, "sweep", "--config", str(path), "--grid", "N=x", "J=1")
+    assert "sweep grid 'N=x' is not a comma-separated list of integers" in err
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -630,10 +641,49 @@ def test_cli_gen_stream_reads_experiment_or_stream_documents(tmp_path, doc):
     assert (len(steps[0].probs), len(steps[0].probs[0])) == (expect.n_models, expect.n_labels)
 
 
-def test_cli_gen_stream_rejects_unknown_keys(tmp_path):
+def test_cli_gen_stream_rejects_unknown_keys(tmp_path, capsys):
     path = write_config(tmp_path, {"horizion": 100})
-    with pytest.raises(ValueError, match="stream.horizion"):
-        main(["gen-stream", "--config", str(path), "--out", str(tmp_path / "s.csv")])
+    assert "stream.horizion" in cli_error(capsys, "gen-stream", "--config", str(path),
+                                          "--out", str(tmp_path / "s.csv"))
+
+
+def test_cli_run_reports_a_config_error_in_one_line(tmp_path, capsys):
+    """A bad setting, a missing or unreadable config and broken JSON exit 2, no traceback."""
+    bad = write_config(tmp_path, tiny_doc(policy="mocp", policy_params={"eta": 0}))
+    assert cli_error(capsys, "run", "--config", str(bad)) == (
+        "gmocp run: eta must be > 0, got 0.0\n")
+    assert "No such file or directory" in cli_error(capsys, "run", "--config",
+                                                    str(tmp_path / "missing.json"))
+    assert "Is a directory" in cli_error(capsys, "run", "--config", str(tmp_path))
+    (tmp_path / "broken.json").write_text('{"policy": ')
+    assert "Expecting value" in cli_error(capsys, "run", "--config", str(tmp_path / "broken.json"))
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_cli_run_reports_a_malformed_stream_file_in_one_line(tmp_path, capsys):
+    (tmp_path / "s.csv").write_text("t,label\n")
+    path = write_config(tmp_path, tiny_doc(policy="mocp", policy_params={},
+                                           stream={"file": "s.csv"}))
+    assert cli_error(capsys, "run", "--config", str(path)).startswith("gmocp run: ")
+
+
+def test_cli_sweep_reports_a_config_error_in_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, tiny_doc(policy_params={"N": 2, "J": 1, "eta": 0}))
+    assert cli_error(capsys, "sweep", "--config", str(path), "--grid", "N=1", "J=1") == (
+        "gmocp sweep: eta must be > 0, got 0.0\n")
+    assert "No such file or directory" in cli_error(
+        capsys, "sweep", "--config", str(tmp_path / "missing.json"), "--grid", "N=1", "J=1")
+
+
+def test_cli_gen_stream_reports_a_config_error_in_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, {"stream": {"horizon": 0}})
+    out = tmp_path / "s.csv"
+    err = cli_error(capsys, "gen-stream", "--config", str(path), "--out", str(out))
+    assert err.startswith("gmocp gen-stream: ") and "horizon" in err
+    (tmp_path / "broken.json").write_text("[1,")
+    assert "Expecting" in cli_error(capsys, "gen-stream", "--config",
+                                    str(tmp_path / "broken.json"), "--out", str(out))
+    assert not out.exists()
 
 
 def test_cli_gen_stream_round_trip(tmp_path):

@@ -73,18 +73,30 @@ def test_score_params_validation():
         ScoreParams(xi=0.1, k_reg=-1, n_labels=3)
 
 
-@given(
-    p=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10),
-    u=st.floats(0.0, 1.0),
+# probability rows with ties and zeros: integers 0-3 over their sum
+TIED_ROWS = st.lists(st.integers(0, 3), min_size=2, max_size=10).filter(any).map(
+    lambda c: np.array(c, dtype=float) / sum(c))
+ROWS = st.one_of(
+    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10).map(
+        lambda p: np.array(p) / sum(p)),
+    TIED_ROWS,
 )
-@settings(max_examples=100, deadline=None)
+
+
+def tied_rows(rng, n_rows, n_labels):
+    """Rows of integers 0-3 over their sum: ties and zeros in nearly every row."""
+    counts = rng.integers(0, 4, size=(n_rows, n_labels)).astype(float)
+    counts[counts.sum(axis=1) == 0, 0] = 1.0
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+@given(p=ROWS, u=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
 def test_vectorized_scores_match_scalar(p, u):
-    p = np.array(p)
-    p /= p.sum()
     params = ScoreParams(xi=0.1, k_reg=1, n_labels=len(p))
     fast = all_label_scores(p, u, params)
     for y in range(len(p)):
-        assert fast[y] == pytest.approx(nonconformity_score(p, y, u, params), abs=1e-12)
+        assert fast[y] == nonconformity_score(p, y, u, params)
 
 
 @pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
@@ -110,24 +122,51 @@ def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
 
 def test_all_model_scores_matches_scalar():
     rng = np.random.default_rng(3)
-    probs = rng.dirichlet(np.ones(6), size=4)
     u_vec = rng.random(4)
     params = ScoreParams(xi=0.1, k_reg=1, n_labels=6)
-    fast = all_model_scores(probs, 2, u_vec, params)
-    for m in range(4):
-        assert fast[m] == pytest.approx(
-            nonconformity_score(probs[m], 2, u_vec[m], params), abs=1e-12
-        )
+    for probs in (rng.dirichlet(np.ones(6), size=4), tied_rows(rng, 4, 6)):
+        for y in range(6):
+            fast = all_model_scores(probs, y, u_vec, params)
+            for m in range(4):
+                assert fast[m] == nonconformity_score(probs[m], y, u_vec[m], params)
+
+
+@pytest.mark.parametrize("n_labels", [2, 10, 1000])
+def test_every_score_path_equals_the_one_row_kernel(n_labels):
+    """A stored score (``all_model_scores``), a set's scores (``all_label_scores`` of
+    one row or many, with or without the caller's sort) and a set's size
+    (``prediction_set_size`` of one row or many, in label or sorted order) agree bit
+    for bit on tied rows."""
+    rng = np.random.default_rng(n_labels)
+    probs = np.vstack([tied_rows(rng, 6, n_labels), rng.dirichlet(np.ones(n_labels), size=2)])
+    asc = np.sort(probs)
+    u_vec = rng.random(len(probs))
+    u_vec[0] = 0.0
+    params = ScoreParams(xi=0.0, k_reg=0, n_labels=n_labels)
+    kernel = np.array([all_label_scores(p, u, params) for p, u in zip(probs, u_vec)])
+    assert all_label_scores(probs, u_vec, params, asc).tobytes() == kernel.tobytes()
+    for m in range(len(probs)):
+        assert all_label_scores(probs[m], u_vec[m], params, asc[m]).tobytes() == kernel[m].tobytes()
+    for y in rng.choice(n_labels, size=min(n_labels, 5), replace=False):
+        column = np.ascontiguousarray(kernel[:, y])
+        assert all_model_scores(probs, y, u_vec, params).tobytes() == column.tobytes()
+        assert all_model_scores(probs, y, u_vec, params, asc).tobytes() == column.tobytes()
+        # thresholds at stored scores: the comparisons that ties make exact
+        sizes = [int(np.count_nonzero(row <= t)) for row, t in zip(kernel, column)]
+        assert prediction_set_size(probs, column, u_vec, params) == sizes
+        assert prediction_set_size(asc, column, u_vec, params) == sizes
+        assert [prediction_set_size(p, t, u, params)
+                for p, t, u in zip(probs, column, u_vec)] == sizes
 
 
 def test_score_nondecreasing_down_the_ranking():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(8))
-        params = ScoreParams(xi=0.1, k_reg=1, n_labels=8)
-        order = np.argsort(-p)
+    params = ScoreParams(xi=0.1, k_reg=1, n_labels=8)
+    for i in range(100):
+        p = tied_rows(rng, 1, 8)[0] if i % 2 else rng.dirichlet(np.ones(8))
+        order = np.argsort(-p, kind="stable")
         scores = [nonconformity_score(p, int(y), 0.5, params) for y in order]
-        assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
+        assert all(a <= b for a, b in zip(scores, scores[1:]))
 
 
 # ------------------------------------------------------------- thresholds
