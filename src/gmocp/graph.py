@@ -91,8 +91,8 @@ def inclusion_probabilities(connect_pmf: np.ndarray, node_pmf: np.ndarray, n_tri
 
 
 @lru_cache(maxsize=64)
-def _explore_consts(params: GraphParams, n_models: int):
-    eta = np.asarray(params.eta_e, dtype=float)
+def _explore_consts(eta_e: tuple, n_models: int):
+    eta = np.asarray(eta_e, dtype=float)
     return (1.0 - eta)[:, None], (eta / n_models)[:, None]
 
 
@@ -100,10 +100,10 @@ def generate_graph(weights: np.ndarray, params: GraphParams, rng: np.random.Gene
     """Draw a fresh bipartite graph. Consumes J x N uniforms, one row per node."""
     w = np.asarray(weights, dtype=float)
     j, n = params.n_selective, params.max_links
-    total = w.sum()
+    total = np.add.reduce(w)
     if total <= 0:
         raise ValueError("model weights must all be positive")
-    scale, floor = _explore_consts(params, len(w))
+    scale, floor = _explore_consts(params.eta_e, len(w))
     pmf = scale * (w / total) + floor
     cdf = np.add.accumulate(pmf, axis=1)
     draws = rng.random((j, n))  # row-major, same order as one row per node

@@ -31,9 +31,12 @@ Scores: a step sorts its M rows once, and every score it needs comes from that
 sort through ``scoring``'s one score arithmetic: the chosen model's set, the M
 stored scores, EGMOCP's set sizes for its subset (one call) and COMA's M x K
 vote (one call). So a stored score equals its set's score for the true label,
-ties included. MOCP updates every model in one plain loop on Python floats
-(``MOCPPolicy._update``), with ``math.exp`` for each weight factor (numpy's
-vectorized exp rounds some arguments differently).
+ties included. MOCP updates every model in one plain loop (``MOCPPolicy._update``).
+
+Weights: an update only subtracts from ``log_w`` (which starts at 0.0), so it
+stays finite and is never rescaled. Only ``weights`` makes linear weights, as
+``exp(log_w - max(log_w))`` floored at 5e-324 in one array pass, the largest
+exactly 1.0; every draw reads them.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ LOG_ROWS = 1024  # steps a ScoreLog holds before it brings every store up to dat
 # graph policies defer when M >= this times N: a store is then read about once in
 # M/N >= 32 steps, where merging its pending scores at once beats eager inserts
 DEFER_MODELS_PER_LINK = 32
+LOG_TINY = math.log(math.ulp(0.0))  # exp of it is 5e-324, the smallest positive float
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,16 @@ class ScoreLog:
 
 
 class _BasePolicy:
-    """Per-model state: weights ``w``, levels ``alphas``, their SF-OGD sums of squared
-    gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
+    """Per-model state: log weights ``log_w``, levels ``alphas``, their SF-OGD sums of
+    squared gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
     ``step`` is every policy's step: ``_draw_u``, ``_select``, bring the subset's
     stores up to date, sort the rows (``asc``), ``_predict``, test the true label,
     score the true label under every model, ``_update``, and build the
     ``StepRecord``. A subclass supplies ``_select`` and may replace the other hooks:
     GMOCP and MOCP predict from the chosen model, COMA by a vote and ACI from model
-    0. Only an update that changes the weights rescales them. A subclass whose steps
-    read only a subset of the stores may set ``_log``.
+    0. An update only subtracts from ``log_w``. A subclass whose steps read only a
+    subset of the stores may set ``_log``.
     """
 
     name = "base"
@@ -180,7 +184,7 @@ class _BasePolicy:
         self.cfg = cfg
         self.t = 0
         m = cfg.n_models
-        self.w = [1.0] * m
+        self.log_w = [0.0] * m
         self.alphas = [cfg.alpha0] * m
         self.grad_sq = [0.0] * m
         self._stores = [CalibrationStore() for _ in range(m)]
@@ -199,14 +203,11 @@ class _BasePolicy:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array(self.w)
-
-    def _rescale_weights(self) -> None:
-        """Scale the weights by the power of two that puts the largest in [1, 2); exact,
-        so no normalized weight, selection CDF or node PMF changes."""
-        shift = 1 - math.frexp(max(self.w))[1]
-        if shift:
-            self.w = [math.ldexp(x, shift) for x in self.w]
+        """``exp(log_w - max(log_w))`` floored at 5e-324: all positive, the largest 1.0."""
+        lw = np.array(self.log_w)
+        lw -= max(self.log_w)
+        np.maximum(lw, LOG_TINY, out=lw)
+        return np.exp(lw, out=lw)
 
     def _checked(self, probs, true_label: int) -> np.ndarray:
         """``probs`` as a float array (only row 0 for ACI); a shape other than (M, K)
@@ -242,7 +243,7 @@ class _BasePolicy:
         (``scores``); returns the chosen model's loss and, when tracked, every
         model's alpha_bar."""
         cfg = self.cfg
-        w, alphas, grad_sq, stores = self.w, self.alphas, self.grad_sq, self._stores
+        log_w, alphas, grad_sq, stores = self.log_w, self.alphas, self.grad_sq, self._stores
         values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
@@ -262,14 +263,13 @@ class _BasePolicy:
             exponent = (1.0 - beta) * (loss / q) / self.loss_scale
             if beta > 0.0:
                 exponent += beta * sizes[m]
-            w[m] *= math.exp(-epsilon * exponent)
+            log_w[m] -= epsilon * exponent
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
         if self._log is None:
             insert_each(stores, values)
         else:
             self._log.append(scores)
-        self._rescale_weights()
         return chosen_loss, alpha_bars
 
     def step(self, probs, true_label: int):
@@ -360,9 +360,8 @@ class MOCPPolicy(_BasePolicy):
         before any score goes in, as in the base update.
         """
         cfg = self.cfg
-        target, eta, neg_eps = cfg.target_alpha, cfg.eta, -cfg.epsilon
-        w, alphas, grad_sq = self.w, self.alphas, self.grad_sq
-        exp, sqrt = math.exp, math.sqrt
+        target, eta, epsilon = cfg.target_alpha, cfg.eta, cfg.epsilon
+        log_w, alphas, grad_sq, sqrt = self.log_w, self.alphas, self.grad_sq, math.sqrt
         values = scores.tolist()
         a_bars = rank_fractions(self._stores, values)
         for m, a_bar in enumerate(a_bars):
@@ -371,13 +370,12 @@ class MOCPPolicy(_BasePolicy):
             loss = target * diff - (diff if diff < 0.0 else 0.0)
             if m == chosen:
                 chosen_loss = loss
-            w[m] *= exp(neg_eps * loss)
+            log_w[m] -= epsilon * loss
             g = (1.0 if a_bar < alpha else 0.0) - target
             gs = grad_sq[m] + g * g
             grad_sq[m] = gs
             alphas[m] = alpha - eta * g / sqrt(gs)
         insert_each(self._stores, values)
-        self._rescale_weights()
         return chosen_loss, tuple(a_bars) if cfg.track_alpha_bar else None
 
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
@@ -407,7 +405,7 @@ class COMAPolicy(_BasePolicy):
 
     def _predict(self, probs, asc, u_vec, chosen):
         """The vote over every model's set at the shared level; then each model's
-        weight shrinks by ``exp(-coma_gamma * size)`` of its set."""
+        log weight falls by ``coma_gamma`` times the size of its set."""
         thresholds = [quantile_threshold(store, self.shared_alpha) for store in self._stores]
         membership = (all_label_scores(probs, u_vec, self.cfg.score, asc)
                       <= np.array(thresholds)[:, None])
@@ -415,9 +413,8 @@ class COMAPolicy(_BasePolicy):
         pred = PredictionSet(vote_set(membership, weights / weights.sum(),
                                       float(self._rng_vote.random())))
         gamma = self.cfg.coma_gamma
-        self.w = [w * math.exp(-gamma * size)
-                  for w, size in zip(self.w, membership.sum(axis=1).tolist())]
-        self._rescale_weights()
+        self.log_w = [lw - gamma * size
+                      for lw, size in zip(self.log_w, membership.sum(axis=1).tolist())]
         return pred
 
     def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):

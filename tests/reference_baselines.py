@@ -10,8 +10,9 @@ shared with the real policies:
   COMA: the same tie-break uniforms, then one uniform for the voting threshold;
   ACI:  one tie-break uniform.
 
-Weights only shrink here (losses and ``coma_gamma`` are non-negative), so the
-power-of-two rescale is a doubling until the largest weight is at least 1.
+Weights are kept as logs, as in the package: an update subtracts from ``log_w``,
+and a draw or vote reads ``exp(lw - max(log_w))``, floored at the smallest positive
+float.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ def _labels(p, u, threshold, xi, k_reg):
     return {lab for lab in range(len(p)) if _score(p, lab, u, xi, k_reg) <= threshold}
 
 
-def _rescaled(weights):
-    while max(weights) < 1.0:
-        weights = [2.0 * w for w in weights]
-    return weights
+def _linear(log_w):
+    top = max(log_w)
+    return [max(math.exp(lw - top), math.ulp(0.0)) for lw in log_w]
 
 
 def _sfogd(alpha, grad_sq, miss, target_alpha, eta):
@@ -50,12 +50,13 @@ def reference_mocp(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, epsil
     rng_u = stream_rng(master_seed, "mocp/tiebreak")
     rng_model = stream_rng(master_seed, "mocp/model")
     alpha0 = target_alpha if alpha_init is None else alpha_init
-    weights, alphas, grad_sq = [1.0] * n_models, [alpha0] * n_models, [0.0] * n_models
+    log_w, alphas, grad_sq = [0.0] * n_models, [alpha0] * n_models, [0.0] * n_models
     stores = [[] for _ in range(n_models)]
     trace = []
 
     for t, (probs, y) in enumerate(steps, start=1):
         u_vec = _draw_u(rng_u, n_models, shared_u)
+        weights = _linear(log_w)
         total = sum(weights)
         chosen = _pick([w / total for w in weights], float(rng_model.random()))
 
@@ -70,19 +71,18 @@ def reference_mocp(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, epsil
             loss = target_alpha * diff + max(0.0, -diff)
             if m == chosen:
                 chosen_loss = loss
-            weights[m] *= math.exp(-epsilon * loss)
+            log_w[m] -= epsilon * loss
             alphas[m], grad_sq[m] = _sfogd(alphas[m], grad_sq[m], a_bars[m] < alphas[m],
                                            target_alpha, eta)
         for m in range(n_models):
             stores[m].append(_score(probs[m], y, u_vec[m], xi, k_reg))
             stores[m].sort()
-        weights = _rescaled(weights)
 
         trace.append({"t": t, "chosen_model": chosen, "set_size": len(labels), "err": err,
                       "node": -1, "subset": tuple(range(n_models)), "chosen_loss": chosen_loss,
                       "alpha_bars": tuple(a_bars) if track_alpha_bar else None,
                       "labels": frozenset(labels)})
-    return trace, {"w": weights, "alphas": alphas, "grad_sq": grad_sq}
+    return trace, {"log_w": log_w, "alphas": alphas, "grad_sq": grad_sq}
 
 
 def reference_coma(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, coma_gamma=0.01,
@@ -91,7 +91,7 @@ def reference_coma(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, coma_
     rng_u = stream_rng(master_seed, "coma/tiebreak")
     rng_vote = stream_rng(master_seed, "coma/vote")
     alpha0 = target_alpha if alpha_init is None else alpha_init
-    weights, alpha, grad_sq = [1.0] * n_models, alpha0, 0.0
+    log_w, alpha, grad_sq = [0.0] * n_models, alpha0, 0.0
     stores = [[] for _ in range(n_models)]
     trace = []
 
@@ -101,6 +101,7 @@ def reference_coma(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, coma_
 
         member = [_labels(probs[m], u_vec[m], _threshold(stores[m], alpha), xi, k_reg)
                   for m in range(n_models)]
+        weights = _linear(log_w)
         total = sum(weights)
         labels = set()
         for lab in range(len(probs[0])):
@@ -110,16 +111,15 @@ def reference_coma(steps, n_models, xi, k_reg, target_alpha=0.1, eta=0.05, coma_
         err = 0 if y in labels else 1
 
         for m in range(n_models):
-            weights[m] *= math.exp(-coma_gamma * len(member[m]))
+            log_w[m] -= coma_gamma * len(member[m])
             stores[m].append(_score(probs[m], y, u_vec[m], xi, k_reg))
             stores[m].sort()
-        weights = _rescaled(weights)
         alpha, grad_sq = _sfogd(alpha, grad_sq, err, target_alpha, eta)
 
         trace.append({"t": t, "chosen_model": -1, "set_size": len(labels), "err": err,
                       "node": -1, "subset": tuple(range(n_models)), "chosen_loss": 0.0,
                       "alpha_bars": None, "labels": frozenset(labels)})
-    return trace, {"w": weights, "alphas": [alpha0] * n_models, "grad_sq": [0.0] * n_models,
+    return trace, {"log_w": log_w, "alphas": [alpha0] * n_models, "grad_sq": [0.0] * n_models,
                    "shared_alpha": alpha, "shared_grad_sq": grad_sq}
 
 
@@ -144,4 +144,4 @@ def reference_aci(steps, xi, k_reg, target_alpha=0.1, aci_lr=0.05, alpha_init=No
         trace.append({"t": t, "chosen_model": 0, "set_size": len(labels), "err": err,
                       "node": -1, "subset": (0,), "chosen_loss": 0.0, "alpha_bars": None,
                       "labels": frozenset(labels)})
-    return trace, {"w": [1.0], "alphas": [alpha], "grad_sq": [0.0]}
+    return trace, {"log_w": [0.0], "alphas": [alpha], "grad_sq": [0.0]}

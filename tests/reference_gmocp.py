@@ -10,8 +10,10 @@ shared with the real policy:
   3. one uniform for node selection (J > 1 only),
   4. one uniform for model selection.
 
-The exploration-mixed PMF is taken as ``(1 - eta_e) * (w / total) + eta_e / M``,
-the documented formula's order of operations, so it rounds as the package's does.
+Weights are kept as logs: an update subtracts ``epsilon * exponent``, and every
+draw reads ``exp(lw - max(log_w))``, floored at the smallest positive float. The exploration-mixed PMF is taken as
+``(1 - eta_e) * (w / total) + eta_e / M``, the documented formula's order of
+operations, so it rounds as the package's does.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
     """Replay the GMOCP loop over (probs, true_label) steps; one dict per step.
 
     ``eta_e`` is a per-node list of exploration coefficients. Each dict holds the
-    state after its step: ``weights``, ``alphas`` and ``grad_sq``.
+    state after its step: ``log_w``, ``alphas`` and ``grad_sq``.
     """
     rng_u = stream_rng(master_seed, "gmocp/tiebreak")
     rng_graph = stream_rng(master_seed, "gmocp/graph")
     rng_node = stream_rng(master_seed, "gmocp/node")
     rng_model = stream_rng(master_seed, "gmocp/model")
 
-    weights = [1.0] * n_models
+    log_w = [0.0] * n_models
     alphas = [target_alpha if alpha_init is None else alpha_init] * n_models
     grad_sq = [0.0] * n_models
     stores = [[] for _ in range(n_models)]
@@ -93,6 +95,8 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
         else:
             u_vec = [float(rng_u.random()) for _ in range(n_models)]
 
+        top = max(log_w)
+        weights = [max(math.exp(lw - top), math.ulp(0.0)) for lw in log_w]
         total_w = sum(weights)
         pmfs = [
             [(1.0 - e) * (w / total_w) + e / n_models for w in weights]
@@ -146,7 +150,7 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
                         if _score(probs[m], lab, u_vec[m], xi, k_reg) <= thr_m
                     )
                 exponent += beta * size
-            weights[m] *= math.exp(-epsilon * exponent)
+            log_w[m] -= epsilon * exponent
             g = (1.0 if ab < alphas[m] else 0.0) - target_alpha
             grad_sq[m] += g * g
             alphas[m] -= eta * g / math.sqrt(grad_sq[m])
@@ -154,10 +158,6 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
         for m in range(n_models):
             stores[m].append(scores[m])
             stores[m].sort()
-        # weights only shrink from 1.0: doubling until the largest is >= 1
-        # puts it in [1, 2) without changing any ratio
-        while max(weights) < 1.0:
-            weights = [2.0 * w for w in weights]
 
         trace.append({
             "t": t,
@@ -169,7 +169,7 @@ def reference_trace(steps, n_models, xi, k_reg, n_labels, eta_e, n_selective,
             "err": err,
             "chosen_loss": chosen_loss,
             "alpha_bars": tuple(a_bars) if track_alpha_bar else None,
-            "weights": list(weights),
+            "log_w": list(log_w),
             "alphas": list(alphas),
             "grad_sq": list(grad_sq),
         })

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmocp import policies
 from gmocp.graph import GraphParams
@@ -79,10 +81,8 @@ def test_gmocp_trace_matches_reference(beta):
         assert rec.set_size == expect["set_size"]
         assert pred.labels == expect["labels"]
         assert rec.err == expect["err"]
-        got_w = list(policy.w)
-        got_a = policy.alphas
-        assert got_w == pytest.approx(expect["weights"], rel=1e-9)
-        assert got_a == pytest.approx(expect["alphas"], rel=1e-9)
+        assert policy.log_w == pytest.approx(expect["log_w"], rel=1e-9)
+        assert policy.alphas == pytest.approx(expect["alphas"], rel=1e-9)
 
 
 def test_gmocp_reduces_to_single_model_loop():
@@ -123,7 +123,7 @@ def test_gmocp_reduces_to_single_model_loop():
 # --------------------------------------------------------- update algebra
 
 def test_zero_losses_leave_weights_unchanged():
-    """alpha_bar engineered to equal alpha for every model: weights stay 1."""
+    """alpha_bar engineered to equal alpha for every model: log weights stay 0."""
     # alpha_init matches the float value of 1 - 9/10 so the residual is exactly 0
     cfg = policy_config(2, 20, graph=GraphParams.uniform(1, 2, 1.0),
                         alpha_init=1.0 - 9 / 10)
@@ -136,7 +136,7 @@ def test_zero_losses_leave_weights_unchanged():
     assert rec.chosen_loss == 0.0
     # with beta = 0 a weight moves unless its model's loss is 0, so this covers every
     # updated model
-    assert all(w == 1.0 for w in policy.w)
+    assert all(lw == 0.0 for lw in policy.log_w)
 
 
 def test_egmocp_weight_ratio_len_penalty():
@@ -179,7 +179,7 @@ def test_gmocp_equals_egmocp_at_beta_zero():
         assert (r1.subset, r1.chosen_model, r1.set_size, r1.err) == (
             r2.subset, r2.chosen_model, r2.set_size, r2.err
         )
-    assert p1.w == p2.w
+    assert p1.log_w == p2.log_w
 
 
 def test_egmocp_strong_weak_weight_separation():
@@ -221,29 +221,16 @@ def test_gmocp_subset_invariants_and_determinism():
             assert 1 <= len(rec.subset) <= 2
             out.append((rec.t, rec.node, rec.subset, rec.chosen_model,
                         rec.set_size, rec.err, rec.chosen_loss,
-                        tuple(policy.w), tuple(policy.alphas)))
+                        tuple(policy.log_w), tuple(policy.alphas)))
         return out
 
     assert run() == run()
 
 
-def test_weight_rescale_on_underflow():
-    """The largest weight lands in [1, 2) and every weight is scaled by one power of two."""
-    cfg = policy_config(3, 4, graph=GraphParams.uniform(1, 2, 1.0))
-    policy = GMOCPPolicy(cfg, 17)
-    for before in ([1e-310, 1e-320, 3e-300], [0.7, 0.3, 1e-200], [1.0, 0.5, 1e-300]):
-        policy.w = list(before)
-        policy._rescale_weights()
-        assert 1.0 <= max(policy.w) < 2.0
-        scale = policy.w[0] / before[0]
-        assert math.frexp(scale)[0] == 0.5  # a power of two
-        assert policy.w == [x * scale for x in before]
-
-
 def test_egmocp_default_weights_stay_positive_over_long_horizon():
     """egmocp N3J1 at the default parameters: no weight reaches 0.0 by t=15 000.
 
-    A rescale that acts only once the largest weight is below 1e-300 lets a
+    Linear weights that are only rescaled once the largest is below 1e-300 let a
     weight reach 0.0 here at t=14 735.
     """
     cfg = PolicyConfig(n_models=8, score=ScoreParams(xi=0.1, k_reg=1, n_labels=20),
@@ -253,8 +240,58 @@ def test_egmocp_default_weights_stay_positive_over_long_horizon():
     policy = make_policy("egmocp", cfg, 0)
     for s in generate_stream(stream_cfg, master_seed=0):
         policy.step(s.probs, s.true_label)
-        assert min(policy.w) > 0.0
-    assert 1.0 <= max(policy.w) < 2.0
+        assert min(policy.weights) > 0.0
+    assert max(policy.weights) == 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), epsilon=st.floats(0.01, 10.0),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), n_links=st.integers(1, 4),
+       n_selective=st.integers(1, 4), n_models=st.integers(2, 12),
+       eta_e=st.floats(0.01, 1.0), horizon=st.integers(1, 300))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weights_stay_finite_and_every_pmf_normalized(seed, epsilon, beta, n_links, n_selective,
+                                                      n_models, eta_e, horizon):
+    """Whatever the step size and penalty: every log weight is finite, every linear
+    weight positive and the largest exactly 1.0, and the connection PMFs, the node
+    PMF and the selection PMF of the subset each sum to 1."""
+    graphs = []
+    generate_graph = policies.generate_graph
+    cfg = policy_config(n_models, 10, graph=GraphParams.uniform(n_selective, n_links, eta_e),
+                        epsilon=epsilon, beta=beta)
+    policy = make_policy("egmocp" if beta > 0 else "gmocp", cfg, seed % 1000)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policies, "generate_graph",
+                      lambda *args: graphs.append(generate_graph(*args)) or graphs[-1])
+        for _ in range(horizon):
+            weights = policy.weights
+            _, rec = policy.step(rng.dirichlet(np.full(10, 0.5), size=n_models),
+                                 int(rng.integers(10)))
+            graph = graphs[-1]
+            assert all(map(math.isfinite, policy.log_w)), rec.t
+            assert min(policy.weights) > 0.0 and max(policy.weights) == 1.0, rec.t
+            assert graph.connect_pmf.sum(axis=1) == pytest.approx(np.ones(n_selective),
+                                                                  abs=1e-12)
+            assert graph.node_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            chosen = weights.take(rec.subset)
+            assert (chosen / chosen.sum()).sum() == pytest.approx(1.0, abs=1e-12), rec.t
+
+
+def test_coma_weights_follow_a_swap_of_the_best_model():
+    """Two models whose peaked and flat rows swap after 20 steps. With coma_gamma=10
+    model 1 falls 1270 nats behind by then, far past float64's range; 40 steps later
+    model 0's penalty (4530 nats) exceeds model 1's (2010), and the vote is model 1's;
+    model 0, 2520 nats behind, reads the smallest positive float. Linear weights kept
+    that long read [1.507, 0.0] here: model 1 stays at 0.0."""
+    cfg = PolicyConfig(n_models=2, score=ScoreParams(xi=0.0, k_reg=1, n_labels=10),
+                       coma_gamma=10.0)
+    policy = COMAPolicy(cfg, 0)
+    peaked, flat = [0.91] + [0.01] * 9, [0.1] * 10
+    for t in range(60):
+        policy.step(np.array([peaked, flat] if t < 20 else [flat, peaked]), 0)
+    assert policy.weights.tolist() == [math.ulp(0.0), 1.0]
+    assert policy.log_w == [-4530.0, -2010.0]
 
 
 def test_shared_u_flag():
@@ -301,7 +338,7 @@ def test_mocp_symmetry_equal_losses():
     for s in steps:
         probs = (s.probs[0], s.probs[0])
         policy.step(probs, s.true_label)
-        assert policy.w[0] == policy.w[1]
+        assert policy.log_w[0] == policy.log_w[1]
         assert policy.alphas[0] == policy.alphas[1]
 
 

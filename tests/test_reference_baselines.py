@@ -5,7 +5,7 @@ Random simplex inputs, some with tied and zero probabilities, over drawn pool
 sizes, label counts, graph shapes and settings; ``alpha_init`` may leave [0, 1],
 so that thresholds of +inf and -inf occur. Every step record field but
 ``wall_nanos``, every label set and the final per-model state must be equal
-exactly, but for GMOCP's weights (see its test).
+exactly, but for GMOCP's log weights (see its test).
 """
 
 from dataclasses import fields
@@ -117,15 +117,15 @@ def test_gmocp_matches_reference(seed, n_models, n_labels, horizon, xi, k_reg, e
                             track_alpha_bar=track_alpha_bar)
     for step in trace:
         step["chosen_model"] = step["chosen"]
-    final = {"w": trace[-1]["weights"], "alphas": trace[-1]["alphas"],
+    final = {"log_w": trace[-1]["log_w"], "alphas": trace[-1]["alphas"],
              "grad_sq": trace[-1]["grad_sq"]}
     policy = make_policy("egmocp" if beta > 0 else "gmocp", cfg, seed % 1000)
     # the package sums the M weights with numpy (pairwise from M=8 on) and takes the
     # inclusion probability with numpy's power and dot (J > 1); each rounds unlike a
     # plain loop in the last bits, which the weight updates carry forward
-    w = final.pop("w")
+    log_w = final.pop("log_w")
     assert_matches(policy, steps, trace, final)
-    assert policy.w == pytest.approx(w, rel=1e-9, abs=0.0)
+    assert policy.log_w == pytest.approx(log_w, rel=1e-9, abs=0.0)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

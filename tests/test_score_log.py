@@ -109,7 +109,7 @@ def run(policy, steps):
 
 
 def final_state(policy):
-    return (policy.w, policy.alphas, policy.grad_sq,
+    return (policy.log_w, policy.alphas, policy.grad_sq,
             [as_stored(s.scores) for s in policy.calibrations])
 
 
