@@ -3,13 +3,13 @@
 The score of label y under probabilities p (K,) with tie-break u is a rank
 regularizer, ``xi * sqrt(max(k - k_reg, 0))`` with k = count(p >= p[y]), plus
 ``u * p[y]``, plus the mass strictly above p[y]. Every score, a set's or a stored
-one, comes from one arithmetic (``_scores``): sort the row ascending, take its
-running sum acc, and the mass above is ``acc[K-1] - acc[last]``, where last =
-count(p <= p[y]) - 1 ends y's ties. So a set and the store it is compared with
-agree bit for bit, ties included. Thresholds come from an empirical quantile of
-the calibration scores; the quantile level may leave [0, 1] (the adaptive
-miscoverage probability ranges over [-eta, 1+eta]), which clamps the threshold
-to +/-inf.
+one, comes from one arithmetic (``_scores``) on the ascending row and its running
+sum acc: the mass above is ``acc[K-1] - acc[last]``, where last ends y's ties. A
+set is scored on the sorted row and ``argsort`` names its labels, so a set and the
+store it is compared with agree bit for bit, ties included. Thresholds come from
+an empirical quantile of the calibration scores; the quantile level may leave
+[0, 1] (the adaptive miscoverage probability ranges over [-eta, 1+eta]), which
+clamps the threshold to +/-inf.
 """
 
 from __future__ import annotations
@@ -275,22 +275,17 @@ def _sorted_scores(asc: np.ndarray, u: np.ndarray, params: ScoreParams) -> np.nd
 
 
 def all_label_scores(p: np.ndarray, u, params: ScoreParams, asc=None) -> np.ndarray:
-    """Vectorized nonconformity_score over every candidate label.
-
-    ``p`` is one probability vector (K,) with a scalar ``u``, or S of them (S, K) with
-    one tie-break each in ``u`` (S,); each row of the (S, K) result equals, bit for
-    bit, the (K,) result for that row alone. K is at most ``params.n_labels``.
-    ``asc``, if the caller has it, is ``np.sort(p)``.
-    """
+    """Vectorized nonconformity_score over every candidate label, in label order: ``p``
+    is one row (K,) with a scalar ``u``, or S rows (S, K) with one tie-break each in
+    ``u`` (S,), and every shape goes through the one (S, K) kernel. K is at most
+    ``params.n_labels``; ``asc``, if the caller has it, is ``np.sort(p)``."""
     p = np.asarray(p, dtype=float)
-    asc = np.sort(p) if asc is None else asc
-    if p.ndim == 1:  # one row: two searches rank every label
-        acc, k = np.add.accumulate(asc), len(p) - asc.searchsorted(p, side="left")
-        return _scores(p, u, k, acc[-1], acc[asc.searchsorted(p, side="right") - 1], params)
-    scores = np.empty_like(p)
-    u = np.asarray(u, dtype=float)[:, None]
-    scores[np.arange(len(p))[:, None], p.argsort(axis=1)] = _sorted_scores(asc, u, params)
-    return scores
+    rows = p.reshape(-1, p.shape[-1])
+    asc = np.sort(rows) if asc is None else asc.reshape(rows.shape)
+    scores = np.empty_like(rows)
+    u = np.asarray(u, dtype=float).reshape(-1, 1)
+    scores[np.arange(len(rows))[:, None], rows.argsort(axis=1)] = _sorted_scores(asc, u, params)
+    return scores.reshape(p.shape)
 
 
 def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: ScoreParams,
@@ -324,9 +319,14 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
 
 def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams,
                          asc=None) -> PredictionSet:
-    """All labels whose score is at most the threshold (shared u across labels)."""
-    scores = all_label_scores(p, u, params, asc)
-    return PredictionSet(frozenset((scores <= threshold).nonzero()[0].tolist()))
+    """All labels whose score is at most the threshold (shared u across labels), scored
+    on the sorted row ``asc`` (``np.sort(p)``): it is searched for its own entries, and
+    ``p.argsort()`` names the labels of the sorted positions inside the threshold."""
+    p = np.asarray(p, dtype=float)
+    asc = np.sort(p) if asc is None else asc
+    acc, k = np.add.accumulate(asc), len(asc) - asc.searchsorted(asc, side="left")
+    scores = _scores(asc, u, k, acc[-1], acc[asc.searchsorted(asc, side="right") - 1], params)
+    return PredictionSet(frozenset(p.argsort()[scores <= threshold].tolist()))
 
 
 def prediction_set_size(p: np.ndarray, threshold, u, params: ScoreParams):

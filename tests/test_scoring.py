@@ -99,25 +99,53 @@ def test_vectorized_scores_match_scalar(p, u):
         assert fast[y] == nonconformity_score(p, y, u, params)
 
 
+def unsorted_search_scores(p, u, params):
+    """Every label's score of one row by two searches of the sorted row for the row's
+    own, unsorted entries: the one-row arithmetic the package used before every shape
+    went through the sorted kernel, kept as the reference it must equal bit for bit."""
+    asc = np.sort(p)
+    acc, k = np.add.accumulate(asc), len(p) - asc.searchsorted(p, side="left")
+    below = acc[asc.searchsorted(p, side="right") - 1]
+    return params.rank_penalty[k] + u * p + (acc[-1] - below)
+
+
 @pytest.mark.parametrize("n_labels", [1, 2, 20, 1000])
 def test_label_scores_of_many_rows_equal_one_call_per_row(n_labels):
-    """The (S, K) path gives each row bit for bit what the (K,) path gives it,
-    with tied and zero probabilities among the rows."""
+    """Scores of one row and of many rows, and a set's labels and size, equal the
+    unsorted-search reference bit for bit, with thresholds at each label's own score
+    so that ties decide membership; on tied, zero, one-hot, Dirichlet(0.05) rows and
+    rows with entries near 1e-300 and 1e-17."""
     rng = np.random.default_rng(n_labels)
+    tiny = rng.dirichlet(np.ones(n_labels))
+    tiny[1::3], tiny[2::3] = 1e-300, 1e-17
+    tiny[4::6] = 3e-300
     rows = [rng.dirichlet(np.ones(n_labels)),
             rng.multinomial(8, np.full(n_labels, 1 / n_labels)) / 8.0,  # ties and zeros
+            tied_rows(rng, 1, n_labels)[0],
             np.full(n_labels, 1 / n_labels),
-            np.eye(n_labels)[0],
-            rng.dirichlet(np.full(n_labels, 0.05))]
-    for probs in (np.array(rows), np.array(rows[::-1]), np.array(rows[1:2])):
-        u = rng.random(len(probs))
-        u[0] = 0.0
+            np.eye(n_labels)[-1],
+            rng.dirichlet(np.full(n_labels, 0.05)),
+            tiny]
+    probs = np.array(rows)
+    for u in (np.zeros(len(probs)), rng.random(len(probs)), np.ones(len(probs))):
         for params in (ScoreParams(xi=0.1, k_reg=1, n_labels=n_labels),
                        ScoreParams(xi=0.0, k_reg=0, n_labels=n_labels)):
-            batch = all_label_scores(probs, u, params)
-            single = np.array([all_label_scores(p, v, params) for p, v in zip(probs, u)])
-            assert batch.shape == probs.shape
-            assert batch.tobytes() == single.tobytes()
+            reference = np.array([unsorted_search_scores(p, v, params) for p, v in zip(probs, u)])
+            for which in (slice(None), slice(None, None, -1), slice(2, 3)):
+                batch = all_label_scores(probs[which], u[which], params)
+                assert batch.shape == reference[which].shape
+                assert batch.tobytes() == reference[which].tobytes()
+            for p, v, ref in zip(probs, u, reference):
+                asc = np.sort(p)
+                for one in (all_label_scores(p, v, params), all_label_scores(p, v, params, asc)):
+                    assert one.shape == ref.shape and one.tobytes() == ref.tobytes()
+                labels = range(n_labels) if n_labels <= 20 else rng.choice(n_labels, 48, False)
+                for t in [-math.inf, math.inf, *ref[list(labels)].tolist()]:
+                    expected = frozenset(np.flatnonzero(ref <= t).tolist())
+                    for pred in (build_prediction_set(p, t, v, params),
+                                 build_prediction_set(p, t, v, params, asc)):
+                        assert pred.labels == expected
+                        assert pred.size == len(expected)
 
 
 def test_all_model_scores_matches_scalar():
