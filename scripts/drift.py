@@ -1,4 +1,4 @@
-"""Paired drift report between two source trees on the paper-default configurations.
+"""Two-tree comparison: bit-identity of outputs and paired drift of the paper metrics.
 
 Usage (from the repository root):
 
@@ -6,67 +6,145 @@ Usage (from the repository root):
                              [--output drift.json]
 
 ``src_a`` and ``src_b`` are source trees (each the directory that holds ``gmocp``).
-Each tree runs in its own fresh interpreter: the seven paper-default
-configurations (gmocp and egmocp at N3J1 and N5J4, mocp, coma, aci) on gradual
-and sudden streams, one run per seed. Both trees see the same seeds, and at equal
-``streams.STREAM_VERSION`` the same streams, so each seed gives a paired
-difference b - a. For coverage, ``avg_width``, ``single_width`` and
-``width_under_k`` the report holds, per configuration, the two means, their
-difference, the standard error of the paired differences and the difference in
-those standard errors (``z``; null when every paired difference is equal, and so
-the standard error 0, and the difference is not 0). It prints every metric with
-|z| > 2 and writes the JSON report to ``--output`` (stdout when not given).
+Each runs in a fresh interpreter, the two side by side, over every case of
+``cases`` once: the seven paper-default configurations on gradual and sudden
+streams at ``--seeds`` and ``--horizon``, and digest-only cases at fixed seeds
+and horizons. A digest hashes every ``StepRecord`` field but ``wall_nanos``,
+every label set and the final policy state. Each seed of a paper-default
+configuration gives paired differences b - a of coverage, ``avg_width``,
+``single_width`` and ``width_under_k``, reported as in ``paired``. The script
+prints the cases whose digests differ and every metric with |z| > 2, writes the
+JSON report to ``--output`` (stdout when not given), and exits 1 when any
+digest differs.
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
+import dataclasses
+import hashlib
 import json
 import math
-import os
-import subprocess
 import sys
+from functools import lru_cache
 
-from scaling import label  # scripts/ is on the path when this file runs
+import numpy as np
+
+from scaling import label, run_trees  # scripts/ is on the path when this file runs
 
 CONFIGS = (("gmocp", 3, 1), ("gmocp", 5, 4), ("egmocp", 3, 1), ("egmocp", 5, 4),
            ("mocp", None, None), ("coma", None, None), ("aci", None, None))
 SCHEDULES = ("gradual", "sudden")
 METRICS = ("coverage", "avg_width", "single_width", "width_under_k")
+TRACKED = CONFIGS[:5]  # the configurations whose policies read track_alpha_bar
+TRACKED_SEEDS, TRACKED_HORIZON = (0, 1), 3000
+MANY_MODELS = (("gmocp", 1, 1), ("gmocp", 3, 1), ("gmocp", 5, 4), ("egmocp", 5, 4))
+MANY_M, MANY_HORIZON = 256, 2000
+TIED_LABELS, TIED_HORIZON = 20, 2000
+WIDE_LABELS, WIDE_HORIZON = 1000, 600
 
 
 def parse_seeds(text: str) -> list:
-    """``"0-15"`` or ``"0,3,7"`` (or a mix) as a list of seeds."""
+    """``"0-15"`` or ``"0,3,7"`` (or a mix) as a list of distinct seeds, at least one."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"{text!r} must name at least one seed, none twice")
     return seeds
 
 
-def measure(seeds, horizon: int) -> dict:
-    """{"<config>/<schedule>": {metric: [value per seed]}} for the importable gmocp."""
-    from gmocp.runner import DEFAULT_PROFILES, parse_config, run_seed
-    from gmocp.streams import ModelProfile, StreamConfig, generate_stream
+def canon(value):
+    """``value`` with every float as its exact hex form, so equal digests mean equal bits."""
+    if type(value) is int:  # most values hashed are labels and indices: skip the checks below
+        return value
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [canon(v) for v in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return int(value) if isinstance(value, (int, np.integer)) else value
 
-    out = {f"{label(*c)}/{s}": {m: [] for m in METRICS} for c in CONFIGS for s in SCHEDULES}
+
+@lru_cache(maxsize=1)
+def stream(cfg, seed: int) -> list:
+    """The (probs, true_label) pairs of a synthetic stream, kept while the cases that
+    read it run one after another."""
+    from gmocp.streams import generate_stream
+
+    return [(s.probs, s.true_label) for s in generate_stream(cfg, master_seed=seed)]
+
+
+def tied_steps(seed: int, n_models: int):
+    """A stream of rows of integers 0-3 over their sum: ties and zeros in nearly every row."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=(TIED_HORIZON, n_models, TIED_LABELS)).astype(float)
+    counts[..., 0][counts.sum(axis=2) == 0] = 1.0
+    probs = counts / counts.sum(axis=2, keepdims=True)
+    labels = rng.integers(TIED_LABELS, size=TIED_HORIZON).tolist()
+    return list(zip(probs, labels))
+
+
+def cases(seeds, horizon: int):
+    """(name, config document, seed, steps, key) of every case, in run order: the paired
+    cases, then with ``track_alpha_bar`` on, at M=256 (where the graph policies defer
+    their inserts to a score log), on tied rows and at K=1000. ``steps`` is None for
+    the config's own stream, and ``key`` ("<config>/<schedule>") is the paired
+    configuration of a case that gives metrics, None for a digest only."""
+    runs = [(False, s, horizon) for s in seeds] + [(True, s, TRACKED_HORIZON)
+                                                   for s in TRACKED_SEEDS]
     for schedule in SCHEDULES:
-        stream_cfg = StreamConfig(model_profiles=tuple(ModelProfile(q) for q in DEFAULT_PROFILES),
-                                  schedule=schedule, horizon=horizon)
-        for seed in seeds:
-            steps = list(generate_stream(stream_cfg, master_seed=seed))
-            for policy, n, j in CONFIGS:
-                doc = {"policy": policy, "stream": {"schedule": schedule, "horizon": horizon}}
-                if n is not None:
-                    doc["policy_params"] = {"N": n, "J": j}
-                row, _ = run_seed(parse_config(doc), seed, steps=steps)
-                for metric in METRICS:
-                    out[f"{label(policy, n, j)}/{schedule}"][metric].append(getattr(row, metric))
-    return out
+        for track, seed, run_horizon in runs:
+            for policy, n, j in TRACKED if track else CONFIGS:
+                params = {"track_alpha_bar": True} if track else {}
+                doc = {"policy": policy,
+                       "policy_params": params if n is None else dict(params, N=n, J=j),
+                       "stream": {"schedule": schedule, "horizon": run_horizon}}
+                key = f"{label(policy, n, j)}/{schedule}"
+                name = f"{key}/seed{seed}/track={int(track)}"
+                yield name, doc, seed, None, None if track else key
+    from gmocp.runner import DEFAULT_PROFILES, POLICY_NAMES
+    profiles = [DEFAULT_PROFILES[m % len(DEFAULT_PROFILES)] for m in range(MANY_M)]
+    for policy, n, j in MANY_MODELS:
+        doc = {"policy": policy, "policy_params": {"N": n, "J": j},
+               "stream": {"profiles": profiles, "horizon": MANY_HORIZON}}
+        yield f"{label(policy, n, j)}/M={MANY_M}", doc, 0, None, None
+    tied = tied_steps(0, len(DEFAULT_PROFILES))
+    for policy in POLICY_NAMES:
+        doc = {"policy": policy, "policy_params": {"xi": 0.0}, "stream": {"n_labels": TIED_LABELS}}
+        yield f"{policy}/tied", doc, 0, tied, None
+        doc = {"policy": policy, "stream": {"n_labels": WIDE_LABELS, "horizon": WIDE_HORIZON}}
+        yield f"{policy}/K={WIDE_LABELS}", doc, 0, None, None
+
+
+def run_case(doc: dict, seed: int, steps):
+    """The digest and ``RunMetrics`` of one run over ``steps`` (the config's own stream if None)."""
+    from gmocp.metrics import compute_metrics
+    from gmocp.policies import make_policy
+    from gmocp.runner import parse_config
+
+    cfg = parse_config(doc)
+    policy = make_policy(cfg.policy, cfg.policy_params, seed)
+    h = hashlib.sha256()
+
+    def records():
+        for probs, true_label in stream(cfg.stream, seed) if steps is None else steps:
+            pred, rec = policy.step(probs, true_label)
+            fields = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.name != "wall_nanos"]
+            h.update(repr(canon(fields + [sorted(pred.labels)])).encode())
+            yield rec
+
+    metrics = compute_metrics(records(), width_cap=cfg.width_cap)
+    state = [policy.log_w, policy.alphas, policy.grad_sq,
+             getattr(policy, "shared_alpha", None), getattr(policy, "shared_grad_sq", None)]
+    h.update(repr(canon(state)).encode())
+    for store in policy.calibrations:
+        h.update(np.fromiter(store, dtype=float).tobytes() + b"|")
+    return h.hexdigest(), metrics
 
 
 def paired(a: list, b: list) -> dict:
-    """Means, difference b - a, and that difference in standard errors of the pairs."""
+    """Means, difference b - a, its standard error, and ``z``, the difference in standard
+    errors (null when the standard error is 0 and the difference is not)."""
     n = len(a)
     diffs = [y - x for x, y in zip(a, b)]
     diff = sum(diffs) / n
@@ -86,43 +164,31 @@ def main(argv=None) -> None:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
-    if args.child:  # one tree, importable from PYTHONPATH: per-seed metrics as JSON
-        print(json.dumps(measure(args.seeds, args.horizon)))
+    if args.child:  # one tree, importable from PYTHONPATH: digests and metrics as JSON
+        digests, metrics = {}, {}
+        for name, doc, seed, steps, key in cases(args.seeds, args.horizon):
+            digests[name], run = run_case(doc, seed, steps)
+            for m in METRICS if key else ():
+                metrics.setdefault(key, {}).setdefault(m, []).append(getattr(run, m))
+        print(json.dumps({"digests": digests, "metrics": metrics}))
         return
 
-    seeds = ",".join(map(str, args.seeds))
-    procs = []
-    for src in (args.src_a, args.src_b):
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        cmd = [sys.executable, os.path.abspath(__file__), src, src, "--child",
-               "--seeds", seeds, "--horizon", str(args.horizon)]
-        procs.append(subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True))
-    runs = []
-    for proc in procs:
-        out, _ = proc.communicate()
-        if proc.returncode:
-            raise SystemExit(f"drift: {proc.args} exited with {proc.returncode}")
-        runs.append(json.loads(out.strip().splitlines()[-1]))
-
+    a, b = run_trees(__file__, (args.src_a, args.src_b), ".", ".", "--child",
+                     "--seeds", ",".join(map(str, args.seeds)), "--horizon", str(args.horizon))
+    differ = [name for name in a["digests"] if a["digests"][name] != b["digests"][name]]
+    configs = {key: {m: paired(a["metrics"][key][m], b["metrics"][key][m]) for m in METRICS}
+               for key in a["metrics"]}
+    moved = [f"{key} {m}: {c['mean_a']:.4f} -> {c['mean_b']:.4f} (z = {c['z']})"
+             for key, cells in configs.items() for m, c in cells.items()
+             if c["z"] is None or abs(c["z"]) > 2]
+    print(*[f"differs: {name}" for name in differ],
+          f"{len(a['digests']) - len(differ)} of {len(a['digests'])} cases equal",
+          *(moved or ["no metric moved by more than 2 standard errors"]), sep="\n", file=sys.stderr)
     report = {"src_a": args.src_a, "src_b": args.src_b, "seeds": args.seeds,
-              "horizon": args.horizon, "configs": {}}
-    moved = []
-    for key, metrics in runs[0].items():
-        report["configs"][key] = {m: paired(metrics[m], runs[1][key][m]) for m in METRICS}
-        for m, cell in report["configs"][key].items():
-            if cell["z"] is None or abs(cell["z"]) > 2:
-                moved.append(f"{key} {m}: {cell['mean_a']:.4f} -> {cell['mean_b']:.4f} "
-                             f"(z = {cell['z']})")
-    report["moved"] = moved
-    print("\n".join(moved) if moved else "no metric moved by more than 2 standard errors",
-          file=sys.stderr)
-    text = json.dumps(report, indent=1)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+              "horizon": args.horizon, "configs": configs, "moved": moved, "differ": differ}
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        print(json.dumps(report, indent=1), file=fh)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -8,15 +8,15 @@ Usage (from the repository root):
 
 ``src`` is the source tree to measure (the directory that holds ``gmocp``),
 so two checkouts can be compared with one copy of this script. Each
-(policy, M, T, K) point runs in its own fresh interpreter over a stream of K
-labels, the default model mix repeated to M models and a gradual shift. The
-stream is consumed as it is generated, so only the policy's own state grows
-with T; only the ``policy.step`` calls are timed. The script prints a table
-of per-step p50 and p99 in microseconds and the GMOCP/MOCP p50 ratio per
-(M, T, K), and then one JSON line with every figure.
+(policy, M, T, K) point runs three times (the grid runs three times over), each
+in its own fresh interpreter, over a stream of K labels, the default model mix
+repeated to M models and a gradual shift, and reports the lowest p50 and p99 of
+its runs, so one burst of host load cannot move it. The stream is consumed as
+it is generated, so only the policy's own state grows with T; only the
+``policy.step`` calls are timed. The script prints a table of per-step p50 and
+p99 in microseconds and the GMOCP/MOCP p50 ratio per (M, T, K), and then one
+JSON line with every figure, each point's runs included.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -29,10 +29,27 @@ MODELS = (8, 16, 32, 64, 128, 256, 1024)
 STEPS = (2000,)
 LABELS = (20,)
 SEED = 0
+RUNS = 3
+PERCENTILES = ("step_us_p50", "step_us_p99")
 
 
 def label(policy, n, j) -> str:
     return policy if n is None else f"{policy}-N{n}J{j}"
+
+
+def run_trees(script: str, srcs, *args) -> list:
+    """The last JSON line printed by ``script args``, run side by side in a fresh
+    interpreter per source tree in ``srcs``, each with its tree importable and one
+    numpy thread. A child that fails ends this process."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    procs = [subprocess.Popen([sys.executable, os.path.abspath(script), *args], text=True,
+                              env=dict(env, PYTHONPATH=os.path.abspath(src)),
+                              stdout=subprocess.PIPE) for src in srcs]
+    outs = [proc.communicate()[0] for proc in procs]
+    for proc in procs:
+        if proc.returncode:
+            raise SystemExit(f"{proc.args} exited with {proc.returncode}")
+    return [json.loads(out.strip().splitlines()[-1]) for out in outs]
 
 
 def measure(policy: str, n, j, n_models: int, steps: int, n_labels: int) -> dict:
@@ -67,28 +84,25 @@ def main(argv=None) -> None:
     parser.add_argument("--models", type=int, nargs="+", default=MODELS)
     parser.add_argument("--steps", type=int, nargs="+", default=STEPS, help="horizons T")
     parser.add_argument("--labels", type=int, nargs="+", default=LABELS, help="label counts K")
-    parser.add_argument("--one", nargs=3, metavar=("POLICY", "N", "J"), help=argparse.SUPPRESS)
+    parser.add_argument("--one", type=int, help=argparse.SUPPRESS)  # index into POLICIES
     args = parser.parse_args(argv)
 
-    if args.one:  # child: one point, printed as JSON
-        policy, n, j = args.one
-        n, j = (None, None) if n == "-" else (int(n), int(j))
-        print(json.dumps(measure(policy, n, j, args.models[0], args.steps[0], args.labels[0])))
+    if args.one is not None:  # child: one point, printed as JSON
+        print(json.dumps(measure(*POLICIES[args.one], args.models[0], args.steps[0],
+                                 args.labels[0])))
         return
 
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     grid = [(m, t, k) for m in args.models for t in args.steps for k in args.labels]
-    points = []
-    for n_models, steps, n_labels in grid:
-        for policy, n, j in POLICIES:
-            cmd = [sys.executable, os.path.abspath(__file__), args.src, "--one", policy,
-                   "-" if n is None else str(n), "-" if j is None else str(j),
-                   "--models", str(n_models), "--steps", str(steps), "--labels", str(n_labels)]
-            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-            points.append(json.loads(out.stdout.strip().splitlines()[-1]))
-
-    by = {(p["policy"], p["M"], p["T"], p["K"]): p for p in points}
+    runs = {}
+    for _ in range(RUNS):
+        for m, t, k in grid:
+            for i, policy in enumerate(POLICIES):
+                runs.setdefault((label(*policy), m, t, k), []).extend(run_trees(
+                    __file__, [args.src], args.src, "--one", str(i),
+                    "--models", str(m), "--steps", str(t), "--labels", str(k)))
+    by = {key: dict(every[0], runs=[{p: r[p] for p in PERCENTILES} for r in every],
+                    **{p: min(r[p] for r in every) for p in PERCENTILES})
+          for key, every in runs.items()}
     ratios = {key: by[("gmocp-N3J1",) + key]["step_us_p50"] / by[("mocp",) + key]["step_us_p50"]
               for key in grid}
     print(f"{'M':>5} {'T':>8} {'K':>5} " + " ".join(f"{label(*p) + ' p50/p99':>24}"
@@ -99,7 +113,7 @@ def main(argv=None) -> None:
         print("{:>5} {:>8} {:>5} ".format(*key)
               + " ".join(f"{c['step_us_p50']:>11.1f} {c['step_us_p99']:>12.1f}" for c in cells)
               + f" {ratios[key]:>15.3f}")
-    print(json.dumps({"points": points, "gmocp_over_mocp_p50": {
+    print(json.dumps({"points": list(by.values()), "gmocp_over_mocp_p50": {
         f"M={m} T={t} K={k}": r for (m, t, k), r in ratios.items()}}))
 
 

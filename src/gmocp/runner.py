@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -88,13 +89,25 @@ class ExperimentConfig:
         g = self.policy_params.graph
         return g.n_selective if g is not None else 0
 
+    @cached_property
+    def _stream_sha256(self) -> str:
+        """The sha256 of the stream file's bytes, read once per config."""
+        digest = hashlib.sha256()
+        with open(self.stream_path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        return digest.hexdigest()
+
     def config_id(self) -> str:
         """Policy, N, J and a hash of every field that can change a result, and of
-        ``streams.STREAM_VERSION`` when the stream is synthetic."""
+        ``streams.STREAM_VERSION`` when the stream is synthetic or of the stream
+        file's bytes when it is not."""
         doc = asdict(self)
         del doc["seeds"], doc["output"], doc["policy_params"]["track_alpha_bar"]
         if self.stream is not None:
             doc["stream_version"] = streams.STREAM_VERSION
+        else:
+            doc["stream_sha256"] = self._stream_sha256
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:8]
         return f"{self.policy}-N{self.n_links}-J{self.n_selective}-{digest}"
 

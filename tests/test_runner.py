@@ -476,6 +476,31 @@ def test_resume_keys_rows_by_config(tmp_path):
         np.mean([r.coverage for r in rerun]))
 
 
+def test_resume_keys_rows_by_the_bytes_of_a_stream_file(tmp_path):
+    """A stream file rewritten in place is another stream: resume reruns every seed on it,
+    and the summary holds only its rows. A config reads the file once for its id."""
+    gen = write_config(tmp_path, tiny_doc(), "gen.json")
+    stream_csv = tmp_path / "s.csv"
+
+    def run_on(stream_seed, seeds):
+        assert main(["gen-stream", "--config", str(gen), "--out", str(stream_csv),
+                     "--seed", str(stream_seed)]) == 0
+        doc = tiny_doc(policy="mocp", policy_params={}, stream={"file": "s.csv"}, seeds=seeds)
+        cfg = parse_config(doc, base_dir=str(tmp_path))
+        return cfg, run_experiment(cfg, resume=True)
+
+    first, _ = run_on(0, [0])
+    second, rerun = run_on(3, [0, 1])
+    assert first.config_id() != second.config_id()
+    assert [r.seed for r in rerun] == [0, 1]
+    summary = json.loads((tmp_path / "results_summary.json").read_text())
+    assert list(summary) == [second.config_id()]
+    assert summary[second.config_id()]["coverage"]["mean"] == pytest.approx(
+        np.mean([r.coverage for r in rerun]))
+    stream_csv.write_text("")
+    assert second.config_id() == rerun[0].config_id
+
+
 def test_resume_rejects_results_without_config_id(tmp_path):
     cfg = parse_config(tiny_doc(), base_dir=str(tmp_path))
     csv_path = tmp_path / "results.csv"
