@@ -62,12 +62,17 @@ class FeedbackGraph:
         total = sum(node_w)
         return np.array([x / total for x in node_w])
 
+    @cached_property
+    def _hit(self) -> np.ndarray:
+        """(M, J): each node's chance to draw model m at least once, row m contiguous."""
+        return np.ascontiguousarray((1.0 - (1.0 - self.connect_pmf) ** self.n_trials).T)
+
     def inclusion_of(self, m: int) -> float:
-        """Inclusion probability of a single model without the full (J, M) pass."""
+        """Inclusion probability of a single model: with one node in Python floats, with
+        J > 1 as ``inclusion_probabilities`` computes it, on model m's row of ``_hit``."""
         if len(self.rows) == 1:
             return 1.0 - (1.0 - float(self.connect_pmf[0, m])) ** self.n_trials
-        return float(inclusion_probabilities(self.connect_pmf[:, m], self.node_pmf,
-                                             self.n_trials))
+        return float(self.node_pmf @ self._hit[m])
 
 
 def connection_pmf(weights: np.ndarray, eta_e: float) -> np.ndarray:

@@ -70,13 +70,23 @@ def check_quantile(n_instances: int = 1000, seed: int = 7) -> OracleReport:
 # --------------------------------------------------------------- alpha_bar
 
 def alpha_bar_grid(scores, true_score: float, resolution: float = 1e-4) -> float:
-    """Largest grid level whose scan threshold still covers true_score."""
+    """Largest grid level whose scan threshold still covers true_score.
+
+    ``quantile_threshold_scan``'s rule for every level of the grid at once: the
+    level ceil(t(1-alpha))/n, -inf at or below 0, else the smallest stored score
+    whose position i has i/n at least the level, +inf past the last.
+    """
     grid = np.arange(0.0, 1.0 + resolution / 2, resolution)
-    best = 0.0
-    for alpha in grid:
-        if quantile_threshold_scan(scores, float(alpha)) >= true_score:
-            best = float(alpha)
-    return best
+    scores = np.array(sorted(scores), dtype=float)
+    n = len(scores)
+    if n == 0:  # every level's threshold is +inf
+        return float(grid[-1])
+    level = np.ceil((n + 1) * (1.0 - grid)) / n
+    first = (np.arange(1, n + 1) / n).searchsorted(level, side="left")  # i - 1 of each level
+    threshold = np.append(scores, math.inf)[first]
+    threshold[level <= 0] = -math.inf
+    covered = grid[threshold >= true_score]
+    return float(covered[-1]) if len(covered) else 0.0
 
 
 def check_alpha_bar(n_instances: int = 1000, seed: int = 11,

@@ -20,12 +20,12 @@ Deferred score log: every score goes into its model's calibration store
 (``scoring.CalibrationStore``). When a step reads only its subset's stores
 (GMOCP/EGMOCP with M at least ``DEFER_MODELS_PER_LINK`` times the subset bound
 N, and ``track_alpha_bar`` off), it writes its M scores as one row of a
-``ScoreLog``, and a store takes its pending scores in one
-``CalibrationStore.merge`` just before it is read: the subset's stores each
-step, and every store when the log fills or ``policy.calibrations`` is read.
-Every store then holds the same scores in the same order at every read as with
-one insert per score (NaN scores aside), so every output is bit-identical. MOCP,
-COMA, ACI, tracked alpha_bar and small pools insert each score as it comes.
+``ScoreLog``. A step reads a subset store in place, through a ``PendingView`` of
+the store and its column of the log, and every store takes its pending scores in
+one ``CalibrationStore.merge`` only when the log fills or ``policy.calibrations``
+is read. Every read then answers as the store that one insert per score builds
+(NaN scores aside), so every output is bit-identical. MOCP, COMA, ACI, tracked
+alpha_bar and small pools insert each score as it comes.
 
 Scores: a step sorts its M rows once, and every score it needs comes from that
 sort through ``scoring``'s one score arithmetic: the chosen model's set, the M
@@ -51,6 +51,7 @@ from .adapt import pinball_loss, sfogd_update, sfogd_update_err
 from .graph import GraphParams, effective_subset, generate_graph, select_node
 from .rng import categorical, stream_rng
 from .scoring import (
+    SETTING_MAX,
     CalibrationStore,
     PredictionSet,
     ScoreParams,
@@ -65,7 +66,7 @@ from .scoring import (
 )
 
 
-LOG_ROWS = 1024  # steps a ScoreLog holds before it brings every store up to date
+LOG_ROWS = 256  # steps a ScoreLog holds before it merges into every store
 # graph policies defer when M >= this times N: a store is then read about once in
 # M/N >= 32 steps, where merging its pending scores at once beats eager inserts
 DEFER_MODELS_PER_LINK = 32
@@ -94,6 +95,8 @@ class PolicyConfig:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+            if value is not None and abs(value) > SETTING_MAX:
+                raise ValueError(f"{key} must be at most {SETTING_MAX:g} in magnitude, got {value}")
         if not 0 < self.target_alpha < 1:
             raise ValueError(f"target_alpha must be in (0, 1), got {self.target_alpha}")
         if self.epsilon <= 0:
@@ -128,52 +131,93 @@ class StepRecord:
 
 
 class ScoreLog:
-    """A (rows, M) log of scores, one row per step, and a cursor per model.
+    """A (rows, M) log of scores, one row per step, pending for the stores.
 
-    ``sync`` merges a model's pending scores into its store; when the log
-    fills, every store takes its pending scores and the log starts over.
-    ``stores`` is the policy's list of stores, shared: a store put in it at
-    index m receives the scores written after m's last ``sync``.
+    Rows [0, rows) of column m are model m's pending scores. ``views`` reads a
+    store and its pending scores in place; ``sync_all`` merges every column into
+    its store and empties the log, which ``append`` does when the log fills.
+    ``stores`` is the policy's list of stores, shared: a store put in it after a
+    ``sync_all`` receives only the scores written after.
     """
 
     def __init__(self, stores: list, rows: int = LOG_ROWS):
         self.stores = stores
         self._log = np.empty((rows, len(stores)))
         self._rows = 0  # rows written since the log was last emptied
-        self._synced = [0] * len(stores)  # rows merged into each store
 
     def append(self, scores) -> None:
         self._log[self._rows] = scores
         self._rows += 1
         if self._rows == len(self._log):
             self.sync_all()
-            self._rows = 0
-            self._synced = [0] * len(self.stores)
 
-    def sync(self, models) -> None:
-        """Merge the pending scores of ``models`` into their stores."""
-        log, rows, synced, stores = self._log, self._rows, self._synced, self.stores
-        for m in models:
-            start = synced[m]
-            if start < rows:
-                stores[m].merge(log[start:rows, m])
-                synced[m] = rows
+    def views(self, models) -> dict:
+        """{m: model m's store as it would read with every pending score merged}."""
+        rows, stores = self._rows, self.stores
+        if not rows:
+            return {m: stores[m] for m in models}
+        log = self._log[:rows]
+        return {m: PendingView(stores[m], log[:, m]) for m in models}
 
     def sync_all(self) -> None:
-        self.sync(range(len(self.stores)))
+        if self._rows:
+            for store, column in zip(self.stores, self._log[:self._rows].T):
+                store.merge(column)
+            self._rows = 0
+
+
+class PendingView:
+    """A store and its pending scores, read as the store that merging them would make.
+
+    ``count``, ``rank`` and ``kth`` answer as ``CalibrationStore``'s do after
+    ``store.merge(pending)``, floats bit for bit: the pending scores sort stably,
+    after the equal ones stored. Nothing is merged or copied into the store.
+    """
+
+    __slots__ = ("store", "pending", "_sorted")
+
+    def __init__(self, store: CalibrationStore, pending: np.ndarray):
+        self.store, self.pending, self._sorted = store, pending, None
+
+    @property
+    def count(self) -> int:
+        return self.store.count + len(self.pending)
+
+    def rank(self, score: float) -> int:
+        return self.store.rank(score) + int(np.count_nonzero(self.pending < score))
+
+    def kth(self, k: int) -> float:
+        """The (k+1)-th smallest of the store and the pending scores, 0 <= k < count:
+        a binary search over j, the number of the first k+1 that are pending."""
+        if self._sorted is None:
+            self._sorted = np.sort(self.pending, kind="stable").tolist()
+        pending, kth = self._sorted, self.store.kth
+        lo, hi = max(0, k + 1 - self.store.count), min(len(pending), k + 1)
+        while lo < hi:  # the largest j whose j-th pending score sorts before stored k+1-j
+            j = (lo + hi + 1) >> 1
+            if pending[j - 1] < kth(k + 1 - j):
+                lo = j
+            else:
+                hi = j - 1
+        if lo == 0:
+            return kth(k)
+        if lo == k + 1:
+            return pending[k]
+        stored, last = kth(k - lo), pending[lo - 1]
+        return last if stored <= last else stored
 
 
 class _BasePolicy:
     """Per-model state: log weights ``log_w``, levels ``alphas``, their SF-OGD sums of
     squared gradients ``grad_sq`` (all float lists) and score stores ``calibrations``.
 
-    ``step`` is every policy's step: ``_draw_u``, ``_select``, bring the subset's
-    stores up to date, sort the rows (``asc``), ``_predict``, test the true label,
-    score the true label under every model, ``_update``, and build the
-    ``StepRecord``. A subclass supplies ``_select`` and may replace the other hooks:
-    GMOCP and MOCP predict from the chosen model, COMA by a vote and ACI from model
-    0. An update only subtracts from ``log_w``. A subclass whose steps read only a
-    subset of the stores may set ``_log``.
+    ``step`` is every policy's step: ``_draw_u``, ``_select``, the stores the hooks
+    read (``_stores``, or with a log the subset's views), sort the rows (``asc``),
+    ``_predict``, test the true label, score the true label under every model,
+    ``_update``, and build the ``StepRecord``. A subclass supplies ``_select`` and
+    may replace the other hooks: GMOCP and MOCP predict from the chosen model, COMA
+    by a vote and ACI from model 0. An update only subtracts from ``log_w``. A
+    subclass whose steps read only a subset of the stores may set ``_log``.
     """
 
     name = "base"
@@ -232,18 +276,18 @@ class _BasePolicy:
         """(node, subset, inclusion probability of each subset model, chosen model)."""
         raise NotImplementedError
 
-    def _predict(self, probs, asc, u_vec, chosen):
+    def _predict(self, probs, asc, u_vec, chosen, stores):
         """This step's prediction set: the chosen model's set at its level."""
-        thr = quantile_threshold(self._stores[chosen], self.alphas[chosen])
+        thr = quantile_threshold(stores[chosen], self.alphas[chosen])
         return build_prediction_set(probs[chosen], thr, u_vec[chosen], self.cfg.score, asc[chosen])
 
-    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """Size the subset's sets at their levels when beta > 0, update the subset's
         weights and levels, then store every model's score of the true label
         (``scores``); returns the chosen model's loss and, when tracked, every
         model's alpha_bar."""
         cfg = self.cfg
-        log_w, alphas, grad_sq, stores = self.log_w, self.alphas, self.grad_sq, self._stores
+        log_w, alphas, grad_sq = self.log_w, self.alphas, self.grad_sq
         values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
         alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
 
@@ -267,7 +311,7 @@ class _BasePolicy:
             alphas[m], grad_sq[m] = sfogd_update(alpha, grad_sq[m], a_bar, target, eta)
 
         if self._log is None:
-            insert_each(stores, values)
+            insert_each(self._stores, values)
         else:
             self._log.append(scores)
         return chosen_loss, alpha_bars
@@ -278,14 +322,15 @@ class _BasePolicy:
         self.t += 1
         u_vec = self._draw_u()
         node, subset, inclusion, chosen = self._select()
-        if self._log is not None:
-            self._log.sync(subset)  # chosen is in subset
+        # the stores the hooks read: every one, or the subset's as views of the log
+        stores = self._stores if self._log is None else self._log.views(subset)
         asc = probs.copy()
         asc.sort()  # one sort of every row, from which every score of the step reads
-        pred = self._predict(probs, asc, u_vec, chosen)
+        pred = self._predict(probs, asc, u_vec, chosen, stores)
         err = int(true_label not in pred.labels)
         scores = all_model_scores(probs, true_label, u_vec, self.cfg.score, asc)
-        chosen_loss, alpha_bars = self._update(asc, u_vec, scores, err, subset, inclusion, chosen)
+        chosen_loss, alpha_bars = self._update(asc, u_vec, scores, err, subset, inclusion, chosen,
+                                               stores)
         record = StepRecord(t=self.t, chosen_model=chosen, set_size=pred.size, err=err,
                             node=node, subset=subset, chosen_loss=chosen_loss,
                             wall_nanos=time.perf_counter_ns() - start, alpha_bars=alpha_bars)
@@ -350,7 +395,7 @@ class MOCPPolicy(_BasePolicy):
         w = self.weights
         return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
 
-    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """``_BasePolicy._update`` for every model, with the helpers written out.
 
         Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
@@ -363,7 +408,7 @@ class MOCPPolicy(_BasePolicy):
         target, eta, epsilon = cfg.target_alpha, cfg.eta, cfg.epsilon
         log_w, alphas, grad_sq, sqrt = self.log_w, self.alphas, self.grad_sq, math.sqrt
         values = scores.tolist()
-        a_bars = rank_fractions(self._stores, values)
+        a_bars = rank_fractions(stores, values)
         for m, a_bar in enumerate(a_bars):
             alpha = alphas[m]
             diff = a_bar - alpha
@@ -375,7 +420,7 @@ class MOCPPolicy(_BasePolicy):
             gs = grad_sq[m] + g * g
             grad_sq[m] = gs
             alphas[m] = alpha - eta * g / sqrt(gs)
-        insert_each(self._stores, values)
+        insert_each(stores, values)
         return chosen_loss, tuple(a_bars) if cfg.track_alpha_bar else None
 
     step = _BasePolicy.step  # an own attribute, so perfbench's tracer can wrap it
@@ -403,10 +448,10 @@ class COMAPolicy(_BasePolicy):
     def _select(self):
         return -1, self._subset, (), -1
 
-    def _predict(self, probs, asc, u_vec, chosen):
+    def _predict(self, probs, asc, u_vec, chosen, stores):
         """The vote over every model's set at the shared level; then each model's
         log weight falls by ``coma_gamma`` times the size of its set."""
-        thresholds = [quantile_threshold(store, self.shared_alpha) for store in self._stores]
+        thresholds = [quantile_threshold(store, self.shared_alpha) for store in stores]
         membership = (all_label_scores(probs, u_vec, self.cfg.score, asc)
                       <= np.array(thresholds)[:, None])
         weights = self.weights
@@ -417,10 +462,10 @@ class COMAPolicy(_BasePolicy):
                       for lw, size in zip(self.log_w, membership.sum(axis=1).tolist())]
         return pred
 
-    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """Store every model's score; move the shared level by this step's miss."""
         cfg = self.cfg
-        insert_each(self._stores, scores.tolist())
+        insert_each(stores, scores.tolist())
         self.shared_alpha, self.shared_grad_sq = sfogd_update_err(
             self.shared_alpha, self.shared_grad_sq, err, cfg.target_alpha, cfg.eta)
         return 0.0, None
@@ -442,10 +487,10 @@ class ACIPolicy(_BasePolicy):
     def _select(self):
         return -1, (0,), (), 0
 
-    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen):
+    def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """Store model 0's score; move its level by ``aci_lr`` toward the target."""
         cfg = self.cfg
-        self._stores[0].insert(scores[0])
+        stores[0].insert(scores[0])
         self.alphas[0] += cfg.aci_lr * (cfg.target_alpha - err)
         return 0.0, None
 

@@ -24,6 +24,12 @@ from itertools import chain
 import numpy as np
 
 
+# the largest magnitude of a real-valued setting (xi here; eta, epsilon, coma_gamma,
+# aci_lr and alpha_init in policies.PolicyConfig): levels, losses, scores and log
+# weights then stay many orders of magnitude below float overflow (1.8e308)
+SETTING_MAX = 1e100
+
+
 @dataclass(frozen=True)
 class ScoreParams:
     """Hyperparameters of the nonconformity score."""
@@ -35,8 +41,8 @@ class ScoreParams:
     def __post_init__(self):
         if not math.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi}")
-        if self.xi < 0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
+        if not 0 <= self.xi <= SETTING_MAX:
+            raise ValueError(f"xi must be in [0, {SETTING_MAX:g}], got {self.xi}")
         if self.n_labels < 1:
             raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         # k_reg above n_labels is harmless (the rank penalty clamps at zero)
@@ -305,16 +311,17 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
 
     With n calibration scores and t = n + 1, the level is ceil(t(1-alpha))/n.
     Levels above 1 (or an empty store) give +inf, levels at or below 0 give
-    -inf; otherwise the k-th smallest score with k = ceil(t(1-alpha)).
+    -inf; otherwise the k-th smallest score with k = ceil(t(1-alpha)). An alpha
+    at or below 0 (at or above 1) is settled before the product, which could
+    overflow: its level is above 1 (at or below 0) at every n.
     """
     n = store.count
-    t = n + 1
-    k = math.ceil(t * (1.0 - alpha))
-    if n == 0 or k > n:
+    if n == 0 or alpha <= 0.0:
         return math.inf
-    if k <= 0:
+    if alpha >= 1.0:
         return -math.inf
-    return store.kth(k - 1)
+    k = math.ceil((n + 1) * (1.0 - alpha))  # at least 1, as 1 - alpha > 0
+    return math.inf if k > n else store.kth(k - 1)
 
 
 def build_prediction_set(p: np.ndarray, threshold: float, u: float, params: ScoreParams,

@@ -17,7 +17,7 @@ from gmocp.cli import main
 from gmocp.graph import GraphParams
 from gmocp.metrics import compute_metrics
 from gmocp.oracles import run_oracle
-from gmocp.policies import PolicyConfig
+from gmocp.policies import PolicyConfig, make_policy
 from gmocp.runner import (
     load_config,
     parse_config,
@@ -27,7 +27,7 @@ from gmocp.runner import (
     run_seed,
     run_sweep,
 )
-from gmocp.scoring import ScoreParams
+from gmocp.scoring import SETTING_MAX, ScoreParams
 from gmocp.streams import (
     ModelProfile,
     StreamConfig,
@@ -218,6 +218,44 @@ def test_a_non_finite_setting_fails_before_the_results_file_is_opened(tmp_path, 
     doc["stream"]["profiles"] = [{"quality": "high", **stream}, "low"]
     assert message in cli_error(capsys, "run", "--config", str(write_config(tmp_path, doc)))
     assert not (tmp_path / "results.csv").exists()
+
+
+# (policy, key) for every real-valued setting each policy reads that can move a
+# level, a loss, a score or a log weight
+EXTREME_KEYS = [("gmocp", "eta"), ("mocp", "eta"), ("coma", "eta"), ("aci", "aci_lr"),
+                ("gmocp", "alpha_init"), ("aci", "alpha_init"), ("gmocp", "epsilon"),
+                ("egmocp", "epsilon"), ("mocp", "epsilon"), ("coma", "coma_gamma"),
+                ("gmocp", "xi"), ("mocp", "xi"), ("coma", "xi")]
+EXTREMES = [(policy, key, sign * value) for policy, key in EXTREME_KEYS
+            for sign in ((1, -1) if key == "alpha_init" else (1,))
+            for value in (1e308, SETTING_MAX)]
+
+
+@pytest.mark.parametrize("policy, key, value", EXTREMES,
+                         ids=[f"{p}-{k}-{v:g}" for p, k, v in EXTREMES])
+def test_an_extreme_setting_runs_clean_or_is_refused_in_one_line(tmp_path, capsys, policy, key,
+                                                                 value):
+    """At T=300 a run either exits 2 with one line that names the key, or ends with
+    finite weights, levels, stored scores and metrics: no traceback (an overflow in
+    ``quantile_threshold``), no NaN weight (every log weight at -inf), no inf score."""
+    doc = {"policy": policy, "policy_params": {key: value},
+           "stream": {"schedule": "gradual", "horizon": 300}, "seeds": [0], "output": "results"}
+    path = str(write_config(tmp_path, doc))
+    code = main(["run", "--config", path])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and key in err, err
+        return
+    assert code == 0, err
+    cfg = load_config(path)
+    made = make_policy(cfg.policy, cfg.policy_params, 0)
+    for step in generate_stream(cfg.stream, master_seed=0):
+        made.step(step.probs, step.true_label)
+    state = [*made.log_w, *made.alphas, *made.grad_sq, *made.weights.tolist()]
+    state += [score for store in made.calibrations for score in store]
+    assert np.isfinite(state).all()
+    row = read_rows(cfg.output + ".csv")[0]
+    assert np.isfinite([row.coverage, row.avg_width, row.single_width, row.width_under_k]).all()
 
 
 def test_negative_seed_fails_before_the_results_file_is_opened(tmp_path):

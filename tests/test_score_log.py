@@ -1,9 +1,11 @@
 """The deferred score log (policies.ScoreLog) against one insort per score.
 
-A graph policy at a large enough pool writes each step's scores to a log and
-merges a model's pending scores only when its store is read. Every read must
-see exactly the store that inserting each score as it came would have built,
-so every output of a deferred policy equals that of an eager one.
+A graph policy at a large enough pool writes each step's scores to a log. A
+step reads its subset's stores in place, through a view of the store and its
+pending column (policies.PendingView), and the log merges into every store only
+when it fills or when ``calibrations`` is read. Every read must see exactly the
+store that inserting each score as it came would have built, so every output
+of a deferred policy equals that of an eager one.
 """
 
 import bisect
@@ -16,20 +18,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmocp.policies as policies
+import gmocp.scoring as scoring
 from gmocp.graph import GraphParams
-from gmocp.policies import LOG_ROWS, PolicyConfig, ScoreLog, StepRecord, make_policy
+from gmocp.policies import LOG_ROWS, PendingView, PolicyConfig, ScoreLog, StepRecord, make_policy
 from gmocp.runner import DEFAULT_PROFILES
-from gmocp.scoring import CalibrationStore, ScoreParams, quantile_threshold
+from gmocp.scoring import (CalibrationStore, ScoreParams, optimal_alpha_bar,
+                           quantile_threshold)
 from gmocp.streams import ModelProfile, StreamConfig, generate_stream
 
 # few distinct values, so that ties (and 0.0 next to -0.0) are common
 TIED = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5])
 SCORES = st.one_of(TIED, st.floats(-1e3, 1e3, allow_nan=False))
+# ranked besides every stored value: between the TIED values and past both ends
+BETWEEN = [-1.0, 0.125, 0.375, 0.75, 1.25, 2.0]
 
 
 def as_stored(values):
     """A store's list, compared exactly: repr tells 0.0 from -0.0."""
     return [repr(v) for v in values]
+
+
+def reads(store, probes):
+    """Everything a step reads of a store or a view: its count, its rank at each probe
+    and its k-th score for every k, exact."""
+    return (store.count, [store.rank(v) for v in probes],
+            as_stored(store.kth(k) for k in range(store.count)))
+
+
+def reference_reads(ref, probes):
+    return (len(ref), [bisect.bisect_left(ref, v) for v in probes], as_stored(ref))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(initial=st.lists(TIED, max_size=24), pending=st.lists(TIED, max_size=LOG_ROWS))
+def test_view_reads_as_the_merged_store(initial, pending):
+    """A view of a store of up to 12 blocks (``BLOCK_SIZE`` 4) and up to ``LOG_ROWS``
+    pending scores answers as a sorted list that took each pending score by insort,
+    and as the store after ``merge``: ``quantile_threshold`` and
+    ``optimal_alpha_bar`` give the same floats, -0.0 told from 0.0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scoring, "BLOCK_SIZE", 4)
+        store, ref = CalibrationStore(initial), sorted(initial)
+        column = np.zeros((len(pending), 2))
+        column[:, 1] = pending
+        view = PendingView(store, column[:, 1])  # a strided column, as the log hands out
+        for score in pending:
+            bisect.insort(ref, score)
+        probes = sorted(set(ref)) + BETWEEN
+        assert reads(view, probes) == reference_reads(ref, probes)
+        levels = [-0.5, 0.0, 0.05, 0.1, 0.5, 0.9, 1.0, 1.5]
+        before = [repr(quantile_threshold(view, a)) for a in levels]
+        bars = [optimal_alpha_bar(view, v) for v in probes]
+        assert as_stored(store.scores) == as_stored(sorted(initial))  # a view merges nothing
+        store.merge(column[:, 1])
+        assert before == [repr(quantile_threshold(store, a)) for a in levels]
+        assert bars == [optimal_alpha_bar(store, v) for v in probes]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -44,9 +87,9 @@ def test_every_read_sees_the_store_of_one_insort_per_score(data, n_models, rows,
     models = st.integers(0, n_models - 1)
     for t in range(n_steps):
         read = data.draw(st.lists(models, max_size=3), label="read") if t % period == 0 else []
-        log.sync(read)
-        for m in read:
-            assert as_stored(stores[m].scores) == as_stored(reference[m])
+        for m, view in log.views(read).items():
+            probes = sorted(set(reference[m])) + BETWEEN
+            assert reads(view, probes) == reference_reads(reference[m], probes)
         scores = data.draw(st.lists(SCORES, min_size=n_models, max_size=n_models), label="scores")
         log.append(np.array(scores))
         for ref, score in zip(reference, scores):
@@ -63,9 +106,11 @@ def test_a_store_put_in_the_list_receives_only_later_scores():
     log.sync_all()
     stores[1] = CalibrationStore([9.0])
     log.append(np.array([2.0, 5.0]))
-    log.sync([1])
+    view = log.views([1])[1]
+    assert [view.kth(k) for k in range(view.count)] == [5.0, 9.0]
+    assert stores[1].scores == [9.0]
+    log.sync_all()
     assert stores[1].scores == [5.0, 9.0]
-    log.sync([0])
     assert stores[0].scores == [2.0, 3.0]
 
 

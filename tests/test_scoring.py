@@ -216,6 +216,15 @@ def test_threshold_negative_level_clamps():
     assert quantile_threshold(make_store([0.1, 0.2]), 1.5) == -math.inf
 
 
+@pytest.mark.parametrize("alpha, expected", [
+    (1e308, -math.inf), (1.0, -math.inf), (-1e308, math.inf), (0.0, math.inf), (-0.0, math.inf)])
+def test_threshold_at_an_extreme_level_clamps_without_overflow(alpha, expected):
+    """``(n + 1) * (1 - alpha)`` overflows to +/-inf at |alpha| near 1e308, and
+    ``math.ceil`` of it raised ``OverflowError``."""
+    assert quantile_threshold(make_store([0.1, 0.2, 0.3]), alpha) == expected
+    assert quantile_threshold(CalibrationStore(), alpha) == math.inf
+
+
 @given(
     scores=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=25),
     alphas=st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=6),
