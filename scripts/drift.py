@@ -9,10 +9,11 @@ Usage (from the repository root):
 Each runs in a fresh interpreter, the two side by side, over every case of
 ``cases`` once: the seven paper-default configurations on gradual and sudden
 streams at ``--seeds`` and ``--horizon``, and digest-only cases at fixed seeds
-and horizons. A digest hashes every ``StepRecord`` field but ``wall_nanos``,
-every label set and the final policy state. Each seed of a paper-default
-configuration gives paired differences b - a of coverage, ``avg_width``,
-``single_width`` and ``width_under_k``, reported as in ``paired``. The script
+and horizons. A digest hashes the packed bytes (``record_bytes``) of every
+``StepRecord`` field but ``wall_nanos`` and of every label set, then the final
+policy state and stores. Each seed of a paper-default configuration gives paired
+differences b - a of coverage, ``avg_width``, ``single_width`` and
+``width_under_k``, reported as in ``paired``. The script
 prints the cases whose digests differ and every metric with |z| > 2, writes the
 JSON report to ``--output`` (stdout when not given), and exits 1 when any
 digest differs.
@@ -20,10 +21,10 @@ digest differs.
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import math
+import struct
 import sys
 from functools import lru_cache
 
@@ -54,15 +55,22 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def canon(value):
-    """``value`` with every float as its exact hex form, so equal digests mean equal bits."""
-    if type(value) is int:  # most values hashed are labels and indices: skip the checks below
-        return value
-    if isinstance(value, (tuple, list, np.ndarray)):
-        return [canon(v) for v in value]
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
-    return int(value) if isinstance(value, (int, np.integer)) else value
+def pack_floats(values) -> bytes:
+    """``values``, None or a sequence of floats, as its length (-1 for None) in int64 and
+    each float's 8 IEEE bytes."""
+    if values is None:
+        return struct.pack("<q", -1)
+    return struct.pack(f"<q{len(values)}d", len(values), *values)
+
+
+def record_bytes(rec, labels) -> bytes:
+    """A step's record and label set packed so that equal bytes mean equal bits: the ints
+    as int64 and ``chosen_loss`` as its IEEE bytes, then ``subset`` and the sorted labels,
+    each after its length, then ``alpha_bars`` as ``pack_floats`` packs it."""
+    subset, labels = rec.subset, sorted(labels)
+    return struct.pack(f"<5qdq{len(subset)}qq{len(labels)}q", rec.t, rec.chosen_model,
+                       rec.set_size, rec.err, rec.node, rec.chosen_loss, len(subset),
+                       *subset, len(labels), *labels) + pack_floats(rec.alpha_bars)
 
 
 @lru_cache(maxsize=1)
@@ -129,16 +137,15 @@ def run_case(doc: dict, seed: int, steps):
     def records():
         for probs, true_label in stream(cfg.stream, seed) if steps is None else steps:
             pred, rec = policy.step(probs, true_label)
-            fields = [getattr(rec, f.name) for f in dataclasses.fields(rec) if f.name != "wall_nanos"]
-            h.update(repr(canon(fields + [sorted(pred.labels)])).encode())
+            h.update(record_bytes(rec, pred.labels))
             yield rec
 
     metrics = compute_metrics(records(), width_cap=cfg.width_cap)
-    state = [policy.log_w, policy.alphas, policy.grad_sq,
-             getattr(policy, "shared_alpha", None), getattr(policy, "shared_grad_sq", None)]
-    h.update(repr(canon(state)).encode())
+    shared = [getattr(policy, a) for a in ("shared_alpha", "shared_grad_sq") if hasattr(policy, a)]
+    for values in (policy.log_w, policy.alphas, policy.grad_sq, shared):
+        h.update(pack_floats(values))
     for store in policy.calibrations:
-        h.update(np.fromiter(store, dtype=float).tobytes() + b"|")
+        h.update(pack_floats(list(store)))
     return h.hexdigest(), metrics
 
 

@@ -68,8 +68,8 @@ class FeedbackGraph:
         return np.ascontiguousarray((1.0 - (1.0 - self.connect_pmf) ** self.n_trials).T)
 
     def inclusion_of(self, m: int) -> float:
-        """Inclusion probability of a single model: with one node in Python floats, with
-        J > 1 as ``inclusion_probabilities`` computes it, on model m's row of ``_hit``."""
+        """Probability that model m lands in the selected node's subset: each node's chance
+        to draw m in N trials (``_hit``), mixed over the node PMF; Python floats for one node."""
         if len(self.rows) == 1:
             return 1.0 - (1.0 - float(self.connect_pmf[0, m])) ** self.n_trials
         return float(self.node_pmf @ self._hit[m])
@@ -82,17 +82,6 @@ def connection_pmf(weights: np.ndarray, eta_e: float) -> np.ndarray:
     if total <= 0 or np.any(w <= 0):
         raise ValueError("model weights must all be positive")
     return (1.0 - eta_e) * (w / total) + eta_e / len(w)
-
-
-def inclusion_probabilities(connect_pmf: np.ndarray, node_pmf: np.ndarray, n_trials: int) -> np.ndarray:
-    """Probability each model lands in the selected node's subset.
-
-    Mixes the per-node chance of being drawn at least once in N trials with
-    the node-selection PMF; with heterogeneous exploration coefficients the
-    per-node PMF is used inside the per-node term.
-    """
-    hit = 1.0 - (1.0 - connect_pmf) ** n_trials  # (J, M)
-    return node_pmf @ hit
 
 
 @lru_cache(maxsize=64)

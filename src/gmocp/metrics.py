@@ -1,10 +1,12 @@
 """Run-level metrics and the hindsight regret comparator.
 
-Coverage-style metrics are simple aggregates over per-step records. The
-regret comparator exploits that for a fixed model the cumulative pinball
-loss is a convex piecewise-linear function of a constant level alpha, so
-the minimum lies on a kink (a realized alpha_bar value) or an endpoint of
-the feasible interval and can be evaluated exactly with prefix sums.
+The four run metrics (coverage, mean set size, covering singletons and
+covering sets below the width cap) are counts over per-step records, taken in
+one pass. The regret comparator exploits that for a fixed model the
+cumulative pinball loss is a convex piecewise-linear function of a constant
+level alpha, so the minimum lies on a kink (a realized alpha_bar value) or an
+endpoint of the feasible interval and can be evaluated exactly with prefix
+sums.
 """
 
 from __future__ import annotations
@@ -20,34 +22,25 @@ class RunMetrics:
     avg_width: float  # mean prediction-set size
     single_width: float  # percent of steps with a covering singleton set
     width_under_k: float  # percent of covering steps with set size below the cap
-    local_coverage: tuple  # per-window coverage fractions
     n_steps: int
 
 
-def compute_metrics(records, window: int = 100, width_cap: int = 40) -> RunMetrics:
+def compute_metrics(records, width_cap: int = 40) -> RunMetrics:
     """Aggregate per-step records into run metrics, in one pass.
 
     ``records`` is any iterable of ``StepRecord`` (``err`` 0 or 1), consumed
     once and kept nowhere, so a run's memory does not grow with its length.
     The counts are Python ints divided once at the end, which gives the same
-    floats as the means of 0/1 arrays. Local coverage uses consecutive
-    non-overlapping windows; a window must be complete to count.
+    floats as the means of 0/1 arrays.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    n = covered = size_sum = singles = under_cap = in_window = 0
-    local = []
+    n = covered = size_sum = singles = under_cap = 0
     for r in records:
         n += 1
         size_sum += r.set_size
         if not r.err:
             covered += 1
-            in_window += 1
             singles += r.set_size == 1
             under_cap += r.set_size < width_cap
-        if n % window == 0:
-            local.append(in_window / window)
-            in_window = 0
     if not n:
         raise ValueError("no records to aggregate")
     return RunMetrics(
@@ -55,7 +48,6 @@ def compute_metrics(records, window: int = 100, width_cap: int = 40) -> RunMetri
         avg_width=size_sum / n,
         single_width=100.0 * (singles / n),
         width_under_k=100.0 * (under_cap / n),
-        local_coverage=tuple(local),
         n_steps=n,
     )
 

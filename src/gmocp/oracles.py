@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphParams, connection_pmf, generate_graph, inclusion_probabilities, select_node
+from .graph import GraphParams, connection_pmf, generate_graph
 from .rng import stream_rng
 from .scoring import CalibrationStore, optimal_alpha_bar, quantile_threshold
 
@@ -166,6 +166,8 @@ def inclusion_prob_montecarlo(connect_pmf, node_pmf, n_trials: int, n_draws: int
 
 
 def check_inclusion_prob(n_instances: int = 1000, seed: int = 13) -> OracleReport:
+    """``FeedbackGraph.inclusion_of`` of every model of a drawn graph against enumeration
+    under that graph's node PMF; J = 1 instances check its one-node branch."""
     rng = stream_rng(seed, "oracle/inclusion")
     worst = 0.0
     for _ in range(n_instances):
@@ -174,11 +176,9 @@ def check_inclusion_prob(n_instances: int = 1000, seed: int = 13) -> OracleRepor
         n = int(rng.integers(1, 5))
         params = GraphParams(j, n, tuple(np.round(rng.uniform(0.05, 1.0, j), 3)))
         weights = rng.uniform(0.1, 5.0, m)
-        node_pmf = rng.uniform(0.1, 1.0, j)
-        node_pmf /= node_pmf.sum()
-        pmf = np.stack([connection_pmf(weights, e) for e in params.eta_e])
-        fast = inclusion_probabilities(pmf, node_pmf, n)
-        slow = inclusion_prob_enumerate(weights, params, node_pmf)
+        graph = generate_graph(weights, params, rng)
+        fast = np.array([graph.inclusion_of(k) for k in range(m)])
+        slow = inclusion_prob_enumerate(weights, params, graph.node_pmf)
         rel = float(np.max(np.abs(fast - slow) / slow))
         worst = max(worst, rel)
     return OracleReport("inclusion_prob", n_instances, worst, 0.01, worst <= 0.01)
@@ -186,17 +186,18 @@ def check_inclusion_prob(n_instances: int = 1000, seed: int = 13) -> OracleRepor
 
 # ------------------------------------------------------------ unbiasedness
 
-def importance_loss_montecarlo(losses, connect_pmf, node_pmf, n_trials: int,
-                               n_draws: int, seed: int = 29) -> np.ndarray:
+def importance_loss_montecarlo(losses, graph, n_draws: int, seed: int = 29) -> np.ndarray:
     """Monte-Carlo E[importance-weighted loss] per model on a frozen state.
 
-    Freezes the node-selection PMF and inclusion probabilities, then redraws
-    the graph rows and the selected node independently each iteration;
-    models outside the realized subset contribute zero that round.
+    Freezes ``graph``'s node-selection PMF and its inclusion probabilities
+    (``inclusion_of``, the q a policy divides by), then redraws the graph rows
+    and the selected node independently each iteration; models outside the
+    realized subset contribute zero that round.
     """
     rng = stream_rng(seed, "oracle/unbiased")
-    q = inclusion_probabilities(connect_pmf, node_pmf, n_trials)
-    freq = _inclusion_frequencies(connect_pmf, node_pmf, n_trials, n_draws, rng)
+    q = np.array([graph.inclusion_of(m) for m in range(len(losses))])
+    freq = _inclusion_frequencies(graph.connect_pmf, graph.node_pmf, graph.n_trials,
+                                  n_draws, rng)
     return freq * np.asarray(losses, dtype=float) / q
 
 
@@ -220,9 +221,7 @@ def check_loss_unbiasedness(n_draws: int = 100_000, seed: int = 17) -> OracleRep
     weights = rng.uniform(0.5, 3.0, m)
     graph = generate_graph(weights, params, rng)
     losses = rng.uniform(0.02, 0.15, m)
-    est = importance_loss_montecarlo(
-        losses, graph.connect_pmf, graph.node_pmf, n, n_draws, seed=seed
-    )
+    est = importance_loss_montecarlo(losses, graph, n_draws, seed=seed)
     rel = float(np.max(np.abs(est - losses) / losses))
     return OracleReport("loss_unbiasedness", n_draws, rel, 0.02, rel <= 0.02)
 

@@ -385,8 +385,7 @@ class MOCPPolicy(_BasePolicy):
     name = "mocp"
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):
-        # every model is in the subset with inclusion 1, and no set-size penalty
-        super().__init__(replace(cfg, beta=0.0), master_seed)
+        super().__init__(cfg, master_seed)
         self._rng_model = stream_rng(master_seed, f"{self.name}/model")
         self._subset = tuple(range(cfg.n_models))
         self._inclusion = (1.0,) * cfg.n_models
@@ -398,8 +397,8 @@ class MOCPPolicy(_BasePolicy):
     def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """``_BasePolicy._update`` for every model, with the helpers written out.
 
-        Inclusion is 1, beta 0 and the loss scale 1, so a model's exponent is its loss.
-        Each line rounds as the helper it stands for: ``pinball_loss``,
+        Inclusion is 1, the loss scale 1 and there is no set-size penalty, so a model's
+        exponent is its loss. Each line rounds as the helper it stands for: ``pinball_loss``,
         ``sfogd_update``. Every store is ranked (``rank_fractions``, each store at its
         own count: a store put in ``calibrations`` may hold any number of scores)
         before any score goes in, as in the base update.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
@@ -218,8 +217,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None,
     """Run one policy over one stream realization; returns (row, RunMetrics).
 
     ``steps`` can supply a pre-generated stream (e.g. shared across policies);
-    otherwise the stream is produced from the config. The first step's model
-    and label counts are checked against the config. The metrics are counted
+    otherwise the stream is produced from the config. The policy's ``step`` checks
+    each step's model and label counts against the config. The metrics are counted
     as the steps arrive and no step record is kept, so a caller that needs
     per-step data passes ``on_step``, a callable that receives each
     ``StepRecord`` in order.
@@ -229,17 +228,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, timing: bool = False, steps=None,
         steps = load_stream(cfg.stream_path)
     elif steps is None:
         steps = generate_stream(cfg.stream, master_seed=seed)
-    steps = iter(steps)
-    first = next(steps, None)
-    if first is not None:
-        m, k = len(first.probs), len(first.probs[0])
-        # ACI predicts from the stream's first model, whatever the stream's M
-        want = (m if cfg.policy == "aci" else cfg.policy_params.n_models,
-                cfg.policy_params.score.n_labels)
-        if (m, k) != want:
-            raise ValueError(f"stream has M={m} models and K={k} labels, but config "
-                             f"{cfg.config_id()} expects M={want[0]} and K={want[1]}")
-        steps = itertools.chain((first,), steps)
     wall_nanos = 0
 
     def records():

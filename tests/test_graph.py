@@ -9,7 +9,6 @@ from gmocp.graph import (
     connection_pmf,
     effective_subset,
     generate_graph,
-    inclusion_probabilities,
     select_node,
 )
 from gmocp.oracles import inclusion_prob_enumerate, inclusion_prob_montecarlo
@@ -19,7 +18,7 @@ from reference_gmocp import node_pmf as reference_node_pmf
 
 
 def inclusion(g: FeedbackGraph) -> np.ndarray:
-    return inclusion_probabilities(g.connect_pmf, g.node_pmf, g.n_trials)
+    return np.array([g.inclusion_of(m) for m in range(g.connect_pmf.shape[1])])
 
 
 def test_params_validation():
@@ -87,18 +86,12 @@ def test_inclusion_montecarlo_matches_analytic():
 
 
 def test_inclusion_enumeration_matches_analytic():
-    params = GraphParams(2, 3, (0.2, 0.7))
     weights = np.array([1.0, 4.0, 2.0])
-    g = generate_graph(weights, params, stream_rng(2, "t"))
-    slow = inclusion_prob_enumerate(weights, params, g.node_pmf)
-    assert inclusion(g) == pytest.approx(slow, rel=1e-10)
-
-
-def test_inclusion_of_matches_vector():
-    params = GraphParams(3, 2, (0.2, 0.5, 0.9))
-    g = generate_graph(np.array([1.0, 3.0, 0.2, 2.0]), params, stream_rng(3, "t"))
-    for m in range(4):
-        assert g.inclusion_of(m) == pytest.approx(inclusion(g)[m], rel=1e-12)
+    # J > 1 reads the node PMF and _hit; J = 1 has its own Python-float branch
+    for params in (GraphParams(2, 3, (0.2, 0.7)), GraphParams(1, 3, (0.4,))):
+        g = generate_graph(weights, params, stream_rng(2, "t"))
+        slow = inclusion_prob_enumerate(weights, params, g.node_pmf)
+        assert inclusion(g) == pytest.approx(slow, rel=1e-10)
 
 
 def test_uniform_eta_lower_bound():
@@ -200,5 +193,5 @@ def test_expected_subset_size_full_exploration():
 def test_exchangeable_inclusion_equal_weights():
     params = GraphParams.uniform(2, 3, 1.0)
     g = generate_graph(np.ones(5), params, stream_rng(11, "t"))
-    q = inclusion_probabilities(g.connect_pmf, g.node_pmf, 3)
+    q = inclusion(g)
     assert np.ptp(q) == pytest.approx(0.0, abs=1e-15)

@@ -15,41 +15,28 @@ def rec(t, size, err):
 
 
 def test_all_covered_singletons():
-    m = compute_metrics([rec(t, 1, 0) for t in range(1, 11)], window=5)
+    m = compute_metrics([rec(t, 1, 0) for t in range(1, 11)])
     assert m.coverage == 100.0
     assert m.avg_width == 1.0
     assert m.single_width == 100.0
-    assert m.local_coverage == (1.0, 1.0)
 
 
 def test_coverage_fraction():
-    m = compute_metrics([rec(1, 2, 1), rec(2, 2, 0), rec(3, 2, 0), rec(4, 2, 0)],
-                        window=4)
+    m = compute_metrics([rec(1, 2, 1), rec(2, 2, 0), rec(3, 2, 0), rec(4, 2, 0)])
     assert m.coverage == 75.0
 
 
 def test_avg_width():
-    m = compute_metrics([rec(1, 2, 0), rec(2, 4, 0)], window=2)
+    m = compute_metrics([rec(1, 2, 0), rec(2, 4, 0)])
     assert m.avg_width == 3.0
     assert m.single_width == 0.0
 
 
 def test_width_under_cap_counts_covered_only():
     records = [rec(1, 5, 0), rec(2, 50, 0), rec(3, 5, 1), rec(4, 5, 0)]
-    m = compute_metrics(records, window=2, width_cap=40)
+    m = compute_metrics(records, width_cap=40)
     # size < 40 AND covered: steps 1 and 4
     assert m.width_under_k == 50.0
-
-
-def test_local_coverage_windows():
-    errs = [0, 0, 1, 1, 0, 1]
-    m = compute_metrics([rec(i + 1, 1, e) for i, e in enumerate(errs)], window=3)
-    assert m.local_coverage == pytest.approx((2 / 3, 1 / 3))
-
-
-def test_incomplete_window_dropped():
-    m = compute_metrics([rec(i, 1, 0) for i in range(1, 8)], window=3)
-    assert len(m.local_coverage) == 2
 
 
 def test_empty_records_rejected():
@@ -57,61 +44,49 @@ def test_empty_records_rejected():
         compute_metrics([])
 
 
-@pytest.mark.parametrize("window", [0, -2])
-def test_window_below_one_rejected(window):
-    with pytest.raises(ValueError, match="window must be at least 1"):
-        compute_metrics([rec(t, 1, 0) for t in range(1, 5)], window=window)
-
-
 def test_global_metrics_permutation_invariant():
     rng = np.random.default_rng(0)
     records = [rec(t, int(rng.integers(1, 10)), int(rng.random() < 0.1))
                for t in range(1, 101)]
-    m1 = compute_metrics(records, window=10)
+    m1 = compute_metrics(records)
     perm = [records[i] for i in rng.permutation(100)]
-    m2 = compute_metrics(perm, window=10)
+    m2 = compute_metrics(perm)
     assert (m1.coverage, m1.avg_width, m1.single_width, m1.width_under_k) == (
         m2.coverage, m2.avg_width, m2.single_width, m2.width_under_k
     )
 
 
-def array_metrics(records, window, width_cap):
+def array_metrics(records, width_cap):
     """The array formulas that ``compute_metrics`` used before it counted in one pass."""
     err = np.array([r.err for r in records], dtype=float)
     size = np.array([r.set_size for r in records], dtype=float)
     covered = 1.0 - err
-    n = len(records)
-    starts = range(0, n - window + 1, window)
     return RunMetrics(
         coverage=100.0 * float(covered.mean()),
         avg_width=float(size.mean()),
         single_width=100.0 * float(np.mean((size == 1) & (covered == 1))),
         width_under_k=100.0 * float(np.mean((size < width_cap) & (covered == 1))),
-        local_coverage=tuple(float(covered[s:s + window].mean()) for s in starts),
-        n_steps=n,
+        n_steps=len(records),
     )
 
 
 @st.composite
 def runs(draw, n_labels=20):
-    """Steps of a run whose length is below, at or just past a multiple of the window."""
-    window = draw(st.integers(1, 12))
-    n = max(1, draw(st.integers(0, 5)) * window + draw(st.sampled_from([-1, 0, 1])))
+    """The (err, set size) steps of a run, and a width cap."""
     steps = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, n_labels)),
-                          min_size=n, max_size=n))
+                          min_size=1, max_size=60))
     records = [rec(t, size, err) for t, (err, size) in enumerate(steps, start=1)]
-    return records, window, draw(st.integers(1, n_labels + 3))
+    return records, draw(st.integers(1, n_labels + 3))
 
 
 @given(run=runs())
 @settings(max_examples=200, deadline=None)
 def test_one_pass_metrics_equal_the_array_formulas(run):
-    records, window, width_cap = run
-    m = compute_metrics((r for r in records), window=window, width_cap=width_cap)
-    ref = array_metrics(records, window, width_cap)
+    records, width_cap = run
+    m = compute_metrics((r for r in records), width_cap=width_cap)
+    ref = array_metrics(records, width_cap)
     for name in ("coverage", "avg_width", "single_width", "width_under_k"):
         assert getattr(m, name).hex() == getattr(ref, name).hex(), name
-    assert [x.hex() for x in m.local_coverage] == [x.hex() for x in ref.local_coverage]
     assert m.n_steps == ref.n_steps
 
 

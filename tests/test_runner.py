@@ -556,7 +556,8 @@ def test_run_seed_rejects_stream_shape_mismatch(n_models, n_labels):
     stream = StreamConfig(model_profiles=(ModelProfile("high"),) * n_models,
                           n_labels=n_labels, horizon=5)
     steps = list(generate_stream(stream, master_seed=1))
-    with pytest.raises(ValueError, match=f"M={n_models} models and K={n_labels} labels"):
+    want = re.escape(f"probs has shape ({n_models}, {n_labels}), expected (2, 6)")
+    with pytest.raises(ValueError, match=want):  # the policy's step checks every step
         run_seed(cfg, 1, steps=steps)
 
 

@@ -1,12 +1,15 @@
 """The pure parts of the two-tree comparison, scripts/drift.py; no tree is run."""
 
 import argparse
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gmocp.policies import StepRecord
 from gmocp.runner import parse_config
 
 
@@ -45,11 +48,24 @@ def test_paired_z_is_null_when_every_pair_moves_alike(drift):
     assert cell["se"] == 0.0 and cell["diff"] == 0.5 and cell["z"] is None
 
 
-def test_canon_keeps_every_bit(drift):
-    assert drift.canon(-0.0) != drift.canon(0.0)
-    assert drift.canon(0.1) == (0.1).hex() != drift.canon(np.nextafter(0.1, 1.0))
-    assert drift.canon((np.float64(0.5), [np.int64(3), None], np.array([1.0, 2.0]))) == [
-        "0x1.0000000000000p-1", [3, None], ["0x1.0000000000000p+0", "0x1.0000000000000p+1"]]
+def test_record_digest_keeps_every_bit(drift):
+    def digest(labels=(3,), **fields):
+        rec = StepRecord(**{"t": 1, "chosen_model": 0, "set_size": 1, "err": 0, **fields})
+        return hashlib.sha256(drift.record_bytes(rec, frozenset(labels))).hexdigest()
+
+    assert digest(chosen_loss=-0.0) != digest(chosen_loss=0.0)
+    assert digest(chosen_loss=0.1) != digest(chosen_loss=float(np.nextafter(0.1, 1.0)))
+    assert digest(alpha_bars=None) != digest(alpha_bars=())
+    assert digest(alpha_bars=(0.5,)) == digest(alpha_bars=(np.float64(0.5),))
+    # label 2 moved from the subset to the set
+    assert digest(subset=(1, 2), labels=(3,)) != digest(subset=(1,), labels=(2, 3))
+    # every field but wall_nanos is packed
+    changed = {"t": 2, "chosen_model": 1, "set_size": 2, "err": 1, "node": 0,
+               "subset": (0,), "chosen_loss": 1.0, "alpha_bars": (0.0,)}
+    hashed = [f.name for f in dataclasses.fields(StepRecord) if f.name != "wall_nanos"]
+    assert sorted(changed) == sorted(hashed)
+    assert len({digest(), *(digest(**{name: changed[name]}) for name in hashed)}) == 9
+    assert digest(wall_nanos=5) == digest()
 
 
 def test_cases_at_two_seeds_and_t3000_are_the_62_exact_output_cases(drift):
