@@ -58,12 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a config or stream error prints one line and exits 2."""
+    """Run one subcommand; a config, stream or out-of-memory error prints one line, exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (OSError, ValueError) as exc:  # ValueError covers StreamFormatError and bad JSON
-        print(f"gmocp {args.command}: {' '.join(str(exc).split())}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:  # ValueError: StreamFormatError, bad JSON
+        line = " ".join(str(exc).split())
+        if isinstance(exc, MemoryError):  # numpy's names the size, a tuple's is empty
+            line = f"out of memory ({line})" if line else "out of memory"
+        print(f"gmocp {args.command}: {line}", file=sys.stderr)
         return 2
 
 

@@ -58,6 +58,7 @@ from .scoring import (
     all_label_scores,
     all_model_scores,
     build_prediction_set,
+    check_settings,
     insert_each,
     optimal_alpha_bar,
     prediction_set_size,
@@ -91,14 +92,9 @@ class PolicyConfig:
     def __post_init__(self):
         if self.n_models < 1:
             raise ValueError(f"n_models must be >= 1, got {self.n_models}")
-        for key in ("eta", "epsilon", "coma_gamma", "aci_lr", "alpha_init"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-            if value is not None and abs(value) > SETTING_MAX:
-                raise ValueError(f"{key} must be at most {SETTING_MAX:g} in magnitude, got {value}")
-        if not 0 < self.target_alpha < 1:
-            raise ValueError(f"target_alpha must be in (0, 1), got {self.target_alpha}")
+        check_settings(self, "eta", "epsilon", "coma_gamma", "aci_lr", "alpha_init")
+        if not 1 / SETTING_MAX <= self.target_alpha < 1:  # below, its square underflows
+            raise ValueError(f"target_alpha must be in [{1 / SETTING_MAX:g}, 1), got {self.target_alpha}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0 <= self.beta <= 1:
@@ -153,10 +149,7 @@ class ScoreLog:
 
     def views(self, models) -> dict:
         """{m: model m's store as it would read with every pending score merged}."""
-        rows, stores = self._rows, self.stores
-        if not rows:
-            return {m: stores[m] for m in models}
-        log = self._log[:rows]
+        log, stores = self._log[:self._rows], self.stores
         return {m: PendingView(stores[m], log[:, m]) for m in models}
 
     def sync_all(self) -> None:
@@ -169,9 +162,9 @@ class ScoreLog:
 class PendingView:
     """A store and its pending scores, read as the store that merging them would make.
 
-    ``count``, ``rank`` and ``kth`` answer as ``CalibrationStore``'s do after
-    ``store.merge(pending)``, floats bit for bit: the pending scores sort stably,
-    after the equal ones stored. Nothing is merged or copied into the store.
+    ``len``, ``rank`` and ``kth`` answer as ``CalibrationStore``'s do after
+    ``store.merge(pending)`` (as the store, with none pending), floats bit for bit:
+    the pending scores sort stably, after the equal ones stored. Nothing is merged.
     """
 
     __slots__ = ("store", "pending", "_sorted")
@@ -179,20 +172,19 @@ class PendingView:
     def __init__(self, store: CalibrationStore, pending: np.ndarray):
         self.store, self.pending, self._sorted = store, pending, None
 
-    @property
-    def count(self) -> int:
-        return self.store.count + len(self.pending)
+    def __len__(self) -> int:
+        return len(self.store) + len(self.pending)
 
     def rank(self, score: float) -> int:
         return self.store.rank(score) + int(np.count_nonzero(self.pending < score))
 
     def kth(self, k: int) -> float:
-        """The (k+1)-th smallest of the store and the pending scores, 0 <= k < count:
+        """The (k+1)-th smallest of the store and the pending scores, 0 <= k < len:
         a binary search over j, the number of the first k+1 that are pending."""
         if self._sorted is None:
             self._sorted = np.sort(self.pending, kind="stable").tolist()
         pending, kth = self._sorted, self.store.kth
-        lo, hi = max(0, k + 1 - self.store.count), min(len(pending), k + 1)
+        lo, hi = max(0, k + 1 - len(self.store)), min(len(pending), k + 1)
         while lo < hi:  # the largest j whose j-th pending score sorts before stored k+1-j
             j = (lo + hi + 1) >> 1
             if pending[j - 1] < kth(k + 1 - j):

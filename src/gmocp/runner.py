@@ -2,9 +2,9 @@
 
 A run is a pure function of the config contents: per-step wall time is
 measured internally but the runtime column is written as 0.0 unless timing
-is requested, so repeated runs produce byte-identical files. Rows are
-flushed per seed and carry their ``config_id``; with ``resume`` enabled,
-(config_id, seed) pairs found in an existing results file are skipped.
+is requested, so repeated runs produce byte-identical files. Rows (and the
+header) are flushed per line and carry their ``config_id``; with ``resume``
+enabled, (config_id, seed) pairs found in an existing results file are skipped.
 """
 
 from __future__ import annotations
@@ -276,11 +276,12 @@ def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):
     """
     output = cfgs[0].output
     csv_path = output + ".csv"
-    resuming = resume and os.path.exists(csv_path)
+    # an empty file is what a run killed before its first row leaves
+    resuming = resume and os.path.exists(csv_path) and os.path.getsize(csv_path) > 0
     done = {(r.config_id, r.seed) for r in read_rows(csv_path)} if resuming else set()
     ids = [cfg.config_id() for cfg in cfgs]
     rows = []
-    with open(csv_path, "a" if resuming else "w", newline="") as fh:
+    with open(csv_path, "a" if resuming else "w", newline="", buffering=1) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if not resuming:
             writer.writerow(RESULT_FIELDS)
@@ -294,7 +295,6 @@ def _run_configs(cfgs, resume: bool, timing: bool, trace: bool):
                     row, _ = run_seed(cfg, seed, timing=timing)
                 rows.append(row)
                 writer.writerow(row.as_list())
-                fh.flush()
     all_rows = read_rows(csv_path)
     by_id = {config_id: [r for r in all_rows if r.config_id == config_id] for config_id in ids}
     write_summary(output + "_summary.json", by_id)

@@ -25,9 +25,20 @@ import numpy as np
 
 
 # the largest magnitude of a real-valued setting (xi here; eta, epsilon, coma_gamma,
-# aci_lr and alpha_init in policies.PolicyConfig): levels, losses, scores and log
-# weights then stay many orders of magnitude below float overflow (1.8e308)
+# aci_lr and alpha_init in policies.PolicyConfig; noise_scale and temperature in
+# streams.ModelProfile), and 1 / SETTING_MAX the least temperature and target_alpha:
+# levels, losses, scores, log weights and logits then stay far inside float range
 SETTING_MAX = 1e100
+
+
+def check_settings(owner, *keys) -> None:
+    """Each setting ``keys`` of ``owner`` is None, or finite and at most SETTING_MAX in magnitude."""
+    for key in keys:
+        value = getattr(owner, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        if value is not None and abs(value) > SETTING_MAX:
+            raise ValueError(f"{key} must be at most {SETTING_MAX:g} in magnitude, got {value}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +50,9 @@ class ScoreParams:
     n_labels: int
 
     def __post_init__(self):
-        if not math.isfinite(self.xi):
-            raise ValueError(f"xi must be finite, got {self.xi}")
-        if not 0 <= self.xi <= SETTING_MAX:
-            raise ValueError(f"xi must be in [0, {SETTING_MAX:g}], got {self.xi}")
+        check_settings(self, "xi")
+        if self.xi < 0:
+            raise ValueError(f"xi must be >= 0, got {self.xi}")
         if self.n_labels < 1:
             raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         # k_reg above n_labels is harmless (the rank penalty clamps at zero)
@@ -130,8 +140,6 @@ class CalibrationStore:
 
     def __len__(self) -> int:
         return self._n if self._mins else len(self._blocks[0])
-
-    count = property(__len__)
 
     @property
     def scores(self) -> CalibrationStore:
@@ -315,7 +323,7 @@ def quantile_threshold(store: CalibrationStore, alpha: float) -> float:
     at or below 0 (at or above 1) is settled before the product, which could
     overflow: its level is above 1 (at or below 0) at every n.
     """
-    n = store.count
+    n = len(store)
     if n == 0 or alpha <= 0.0:
         return math.inf
     if alpha >= 1.0:
@@ -352,4 +360,4 @@ def optimal_alpha_bar(store: CalibrationStore, true_score: float) -> float:
     Inverts the quantile level from the rank of true_score in the sorted
     store. An empty store gives 1.0 (every threshold is +inf).
     """
-    return 1.0 - store.rank(true_score) / (store.count + 1)
+    return 1.0 - store.rank(true_score) / (len(store) + 1)

@@ -9,14 +9,13 @@ and parallel sweeps with exact replay.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .rng import stream_rng
-from .scoring import validate_prob_vector
+from .scoring import SETTING_MAX, check_settings, validate_prob_vector
 
 SCHEDULES = ("gradual", "sudden", "stationary")
 
@@ -56,14 +55,11 @@ class ModelProfile:
     def __post_init__(self):
         if self.quality not in QUALITY_SIGNAL:
             raise ValueError(f"unknown quality {self.quality!r}")
-        for key in ("noise_scale", "temperature"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+        check_settings(self, "noise_scale", "temperature")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if self.temperature < 1 / SETTING_MAX:  # every logit is divided by it
+            raise ValueError(f"temperature must be >= {1 / SETTING_MAX:g}, got {self.temperature}")
 
 
 @dataclass(frozen=True)

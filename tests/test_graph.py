@@ -57,6 +57,13 @@ def test_connection_pmf_is_the_pmf_the_graph_draws_from():
         assert np.array_equal(connection_pmf(w, eta_e), g.connect_pmf[0])
 
 
+def test_generate_graph_rejects_weights_that_do_not_sum_above_zero():
+    rng = stream_rng(0, "test/graph")
+    for w in (np.zeros(3), np.array([1.0, -2.0, 0.5])):
+        with pytest.raises(ValueError, match="model weights must all be positive"):
+            generate_graph(w, GraphParams.uniform(1, 2, 0.2), rng)
+
+
 def test_connection_pmf_rejects_bad_weights():
     with pytest.raises(ValueError):
         connection_pmf(np.array([0.0, 0.0]), 0.5)

@@ -19,6 +19,8 @@ from gmocp.metrics import compute_metrics
 from gmocp.oracles import run_oracle
 from gmocp.policies import PolicyConfig, make_policy
 from gmocp.runner import (
+    DEFAULT_PROFILES,
+    RESULT_FIELDS,
     load_config,
     parse_config,
     parse_stream_config,
@@ -221,14 +223,17 @@ def test_a_non_finite_setting_fails_before_the_results_file_is_opened(tmp_path, 
 
 
 # (policy, key) for every real-valued setting each policy reads that can move a
-# level, a loss, a score or a log weight
+# level, a loss, a score, a log weight or a logit; a profile key is set on every model
 EXTREME_KEYS = [("gmocp", "eta"), ("mocp", "eta"), ("coma", "eta"), ("aci", "aci_lr"),
                 ("gmocp", "alpha_init"), ("aci", "alpha_init"), ("gmocp", "epsilon"),
                 ("egmocp", "epsilon"), ("mocp", "epsilon"), ("coma", "coma_gamma"),
-                ("gmocp", "xi"), ("mocp", "xi"), ("coma", "xi")]
+                ("gmocp", "xi"), ("mocp", "xi"), ("coma", "xi"), ("gmocp", "noise_scale"),
+                ("mocp", "noise_scale"), ("gmocp", "temperature"), ("mocp", "temperature"),
+                ("aci", "temperature")]
 EXTREMES = [(policy, key, sign * value) for policy, key in EXTREME_KEYS
             for sign in ((1, -1) if key == "alpha_init" else (1,))
-            for value in (1e308, SETTING_MAX)]
+            for value in (1e308, SETTING_MAX) + ((5e-324, 1 / SETTING_MAX)
+                                                 if key == "temperature" else ())]
 
 
 @pytest.mark.parametrize("policy, key, value", EXTREMES,
@@ -237,9 +242,13 @@ def test_an_extreme_setting_runs_clean_or_is_refused_in_one_line(tmp_path, capsy
                                                                  value):
     """At T=300 a run either exits 2 with one line that names the key, or ends with
     finite weights, levels, stored scores and metrics: no traceback (an overflow in
-    ``quantile_threshold``), no NaN weight (every log weight at -inf), no inf score."""
-    doc = {"policy": policy, "policy_params": {key: value},
-           "stream": {"schedule": "gradual", "horizon": 300}, "seeds": [0], "output": "results"}
+    ``quantile_threshold``), no NaN weight (every log weight at -inf), no inf score,
+    no NaN probability (a logit past float range)."""
+    params, stream = {key: value}, {"schedule": "gradual", "horizon": 300}
+    if key in runner.PROFILE_KEYS:
+        params, stream["profiles"] = {}, [{"quality": q, key: value} for q in DEFAULT_PROFILES]
+    doc = {"policy": policy, "policy_params": params, "stream": stream, "seeds": [0],
+           "output": "results"}
     path = str(write_config(tmp_path, doc))
     code = main(["run", "--config", path])
     err = capsys.readouterr().err
@@ -250,6 +259,7 @@ def test_an_extreme_setting_runs_clean_or_is_refused_in_one_line(tmp_path, capsy
     cfg = load_config(path)
     made = make_policy(cfg.policy, cfg.policy_params, 0)
     for step in generate_stream(cfg.stream, master_seed=0):
+        assert np.isfinite(step.probs).all()
         made.step(step.probs, step.true_label)
     state = [*made.log_w, *made.alphas, *made.grad_sq, *made.weights.tolist()]
     state += [score for store in made.calibrations for score in store]
@@ -365,6 +375,24 @@ def test_width_cap_resume_runs_the_new_config(tmp_path):
     assert rerun[0].width_under_k == 74.66666666666667
     summary = json.loads((tmp_path / "results_summary.json").read_text())
     assert summary[second.config_id()]["width_under_k"]["mean"] == 74.66666666666667
+
+
+def test_parse_rejects_empty_seeds_and_a_policy_params_that_is_not_an_object():
+    with pytest.raises(ValueError, match="seeds must be non-empty"):
+        parse_config({"policy": "mocp", "seeds": []})
+    with pytest.raises(ValueError, match=re.escape(
+            "config key 'policy_params' must be object, got [0.1]")):
+        parse_config({"policy": "mocp", "policy_params": [0.1]})
+    with pytest.raises(ValueError, match=re.escape(
+            "config stream.profiles[0] must be a JSON object, got 5")):
+        parse_config({"policy": "mocp", "stream": {"profiles": [5]}})
+
+
+def test_a_config_needs_exactly_one_of_stream_and_stream_path(tmp_path):
+    cfg = parse_config({"policy": "mocp"})
+    for change in ({"stream_path": str(tmp_path / "s.csv")}, {"stream": None}):
+        with pytest.raises(ValueError, match="exactly one of stream / stream_path required"):
+            replace(cfg, **change)
 
 
 @pytest.mark.parametrize("width_cap", [0, -3])
@@ -550,6 +578,29 @@ def test_resume_rejects_results_without_config_id(tmp_path):
     assert csv_path.read_text() == old
 
 
+def test_resume_onto_an_empty_results_file_runs_every_seed(tmp_path, capsys):
+    """A run killed before its first row leaves an empty file, which holds no rows."""
+    path = write_config(tmp_path, tiny_doc(seeds=[1, 2]))
+    (tmp_path / "results.csv").write_text("")
+    assert main(["run", "--config", str(path), "--resume"]) == 0, capsys.readouterr().err
+    assert [r.seed for r in read_rows(str(tmp_path / "results.csv"))] == [1, 2]
+
+
+def test_the_header_reaches_the_results_file_before_the_first_seed_runs(tmp_path, monkeypatch):
+    """So a run killed during its first seed leaves a file that ``--resume`` reads."""
+    cfg = parse_config(tiny_doc(seeds=[1, 2]), base_dir=str(tmp_path))
+    seen, run = [], runner.run_seed
+
+    def spy(*args, **kwargs):
+        seen.append((tmp_path / "results.csv").read_text().splitlines())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_seed", spy)
+    run_experiment(cfg)
+    assert [len(lines) for lines in seen] == [1, 2]
+    assert seen[0] == [",".join(RESULT_FIELDS)]
+
+
 @pytest.mark.parametrize("n_models, n_labels", [(2, 4), (3, 6)])
 def test_run_seed_rejects_stream_shape_mismatch(n_models, n_labels):
     cfg = parse_config(tiny_doc())  # two models, six labels
@@ -722,6 +773,30 @@ def test_cli_run_reports_a_config_error_in_one_line(tmp_path, capsys):
     (tmp_path / "broken.json").write_text('{"policy": ')
     assert "Expecting value" in cli_error(capsys, "run", "--config", str(tmp_path / "broken.json"))
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("params, stream", [({"N": 10**12}, {}), ({"J": 10**12}, {}),
+                                            ({}, {"n_labels": 10**12})],
+                         ids=["N", "J", "n_labels"])
+def test_cli_run_reports_a_size_too_large_for_memory_in_one_line(tmp_path, capsys, params,
+                                                                   stream):
+    """Each size asks for terabytes at once, which fails at allocation and uses nothing."""
+    doc = tiny_doc(policy_params={"N": 2, "J": 1, **params})
+    doc["stream"].update(stream)
+    err = cli_error(capsys, "run", "--config", str(write_config(tmp_path, doc)))
+    assert err.startswith("gmocp run: out of memory"), err
+
+
+def test_cli_gen_stream_refuses_a_config_whose_stream_is_a_file(tmp_path, capsys):
+    gen = write_config(tmp_path, tiny_doc(), "gen.json")
+    assert main(["gen-stream", "--config", str(gen), "--out", str(tmp_path / "s.csv")]) == 0
+    path = write_config(tmp_path, tiny_doc(policy="mocp", policy_params={},
+                                           stream={"file": "s.csv"}))
+    capsys.readouterr()
+    assert cli_error(capsys, "gen-stream", "--config", str(path), "--out",
+                     str(tmp_path / "t.csv")) == (
+        "gmocp gen-stream: gen-stream needs a synthetic stream, not a stream file\n")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_cli_run_reports_a_malformed_stream_file_in_one_line(tmp_path, capsys):

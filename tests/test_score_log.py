@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gmocp.policies as policies
@@ -41,8 +41,8 @@ def as_stored(values):
 def reads(store, probes):
     """Everything a step reads of a store or a view: its count, its rank at each probe
     and its k-th score for every k, exact."""
-    return (store.count, [store.rank(v) for v in probes],
-            as_stored(store.kth(k) for k in range(store.count)))
+    return (len(store), [store.rank(v) for v in probes],
+            as_stored(store.kth(k) for k in range(len(store))))
 
 
 def reference_reads(ref, probes):
@@ -51,11 +51,13 @@ def reference_reads(ref, probes):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(initial=st.lists(TIED, max_size=24), pending=st.lists(TIED, max_size=LOG_ROWS))
+@example(initial=[0.5, 0.0, -0.0, 1.5, 0.25, 0.5], pending=[])
 def test_view_reads_as_the_merged_store(initial, pending):
     """A view of a store of up to 12 blocks (``BLOCK_SIZE`` 4) and up to ``LOG_ROWS``
     pending scores answers as a sorted list that took each pending score by insort,
     and as the store after ``merge``: ``quantile_threshold`` and
-    ``optimal_alpha_bar`` give the same floats, -0.0 told from 0.0."""
+    ``optimal_alpha_bar`` give the same floats, -0.0 told from 0.0. A view of an
+    empty column, which a step reads after every merge, answers as its store."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scoring, "BLOCK_SIZE", 4)
         store, ref = CalibrationStore(initial), sorted(initial)
@@ -107,7 +109,7 @@ def test_a_store_put_in_the_list_receives_only_later_scores():
     stores[1] = CalibrationStore([9.0])
     log.append(np.array([2.0, 5.0]))
     view = log.views([1])[1]
-    assert [view.kth(k) for k in range(view.count)] == [5.0, 9.0]
+    assert [view.kth(k) for k in range(len(view))] == [5.0, 9.0]
     assert stores[1].scores == [9.0]
     log.sync_all()
     assert stores[1].scores == [5.0, 9.0]

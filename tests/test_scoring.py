@@ -67,10 +67,14 @@ def test_validate_prob_vector():
 
 
 def test_score_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="xi must be >= 0, got -0.1"):
         ScoreParams(xi=-0.1, k_reg=1, n_labels=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="xi must be at most 1e[+]100 in magnitude, got 1e[+]101"):
+        ScoreParams(xi=1e101, k_reg=1, n_labels=3)
+    with pytest.raises(ValueError, match="k_reg must be >= 0, got -1"):
         ScoreParams(xi=0.1, k_reg=-1, n_labels=3)
+    with pytest.raises(ValueError, match="n_labels must be >= 1, got 0"):
+        ScoreParams(xi=0.1, k_reg=1, n_labels=0)
 
 
 # probability rows with ties and zeros: integers 0-3 over their sum
@@ -301,7 +305,7 @@ def test_insert_keeps_sorted():
 def test_insert_into_empty():
     store = CalibrationStore()
     store.insert(0.5)
-    assert store.scores == [0.5] and store.count == 1
+    assert store.scores == [0.5] and len(store) == 1
 
 
 def test_insert_duplicate_multiset():
@@ -357,7 +361,7 @@ def test_store_equals_insort_on_a_list(initial, ops, block_size, merge_from):
             elif ref:
                 assert repr(store.kth(arg % len(ref))) == repr(ref[arg % len(ref)])
             assert [repr(v) for v in store.scores] == [repr(v) for v in ref]
-            assert len(store) == store.count == len(ref)
+            assert len(store) == len(ref)
 
 
 # ------------------------------------------------------------- alpha_bar

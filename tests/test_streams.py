@@ -157,12 +157,32 @@ def test_profile_validation():
         ModelProfile("amazing")
     with pytest.raises(ValueError):
         ModelProfile("high", noise_scale=-1.0)
-    with pytest.raises(ValueError):
-        ModelProfile("high", temperature=0.0)
+    for temperature in (0.0, 5e-324, 9.9e-101):
+        with pytest.raises(ValueError, match="temperature must be >= 1e-100, got "):
+            ModelProfile("high", temperature=temperature)
+    with pytest.raises(ValueError, match="noise_scale must be at most 1e[+]100 in magnitude"):
+        ModelProfile("high", noise_scale=1e101)
     with pytest.raises(ValueError):
         StreamConfig(model_profiles=(), horizon=10)
     with pytest.raises(ValueError):
         cfg_for(["high"], schedule="linear")
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        cfg_for(["high"], batch_size=0)
+
+
+def test_extreme_noise_over_the_least_temperature_gives_finite_simplexes():
+    """Logits reach about 1e201, far inside float range (a RuntimeWarning fails the test)."""
+    cfg = cfg_for([{"quality": q, "noise_scale": 1e100, "temperature": 1e-100}
+                   for q in ("high", "medium", "low")], horizon=60, batch_size=10)
+    for step in generate_stream(cfg, master_seed=0):
+        assert np.isfinite(step.probs).all() and (step.probs >= 0).all()
+        assert np.allclose(step.probs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("t", [0, 11])
+def test_generate_step_rejects_t_outside_the_horizon(t):
+    with pytest.raises(ValueError, match=f"t={t} outside \\[1, 10\\]"):
+        generate_step(cfg_for(["high"], horizon=10), t, master_seed=0)
 
 
 # ------------------------------------------------------------ file format
@@ -265,6 +285,23 @@ def test_load_rejects_stream_not_starting_at_one(tmp_path):
                [[5, 0, 0, 0, 0.5, 0.5],
                 [6, 1, 0, 0, 0.5, 0.5]])
     with pytest.raises(StreamFormatError, match="t=5"):
+        list(load_stream(path))
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ("t,true_label,severity,model_id,q_0,q_1", [], "bad probability columns in "),
+    ("t,true_label,severity,model_id", [], "bad probability columns in "),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 6, 0, 0.5, 0.5]],
+     "line 2: severity 6 out of range"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.5], [3, 0, 0, 0, 0.5, 0.5]],
+     "line 3: t=3 after t=1"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.5], [1, 1, 0, 1, 0.5, 0.5]],
+     "line 3: inconsistent label/severity at t=1"),
+], ids=["columns", "no-columns", "severity", "gap", "label-changes"])
+def test_load_names_what_is_wrong(tmp_path, header, rows, message):
+    path = tmp_path / "bad.csv"
+    write_rows(path, header, rows)
+    with pytest.raises(StreamFormatError, match=message):
         list(load_stream(path))
 
 
