@@ -265,7 +265,7 @@ class _BasePolicy:
         return self._rng_u.random(self.cfg.n_models)
 
     def _select(self):
-        """(node, subset, inclusion probability of each subset model, chosen model)."""
+        """(node, subset, its inclusion probabilities or () if unread, chosen model)."""
         raise NotImplementedError
 
     def _predict(self, probs, asc, u_vec, chosen, stores):
@@ -281,7 +281,7 @@ class _BasePolicy:
         cfg = self.cfg
         log_w, alphas, grad_sq = self.log_w, self.alphas, self.grad_sq
         values = scores.tolist()  # Python floats: bisect compares them faster than np.float64
-        alpha_bars = tuple(map(optimal_alpha_bar, stores, values)) if cfg.track_alpha_bar else None
+        alpha_bars = tuple(rank_fractions(stores, values)) if cfg.track_alpha_bar else None
 
         target, eta, beta, epsilon = cfg.target_alpha, cfg.eta, cfg.beta, cfg.epsilon
         if beta > 0.0:  # a set's size does not depend on label order: sort order will do
@@ -380,11 +380,10 @@ class MOCPPolicy(_BasePolicy):
         super().__init__(cfg, master_seed)
         self._rng_model = stream_rng(master_seed, f"{self.name}/model")
         self._subset = tuple(range(cfg.n_models))
-        self._inclusion = (1.0,) * cfg.n_models
 
     def _select(self):
         w = self.weights
-        return -1, self._subset, self._inclusion, categorical(self._rng_model, w / w.sum())
+        return -1, self._subset, (), categorical(self._rng_model, w / w.sum())
 
     def _update(self, asc, u_vec, scores, err, subset, inclusion, chosen, stores):
         """``_BasePolicy._update`` for every model, with the helpers written out.

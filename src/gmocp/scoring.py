@@ -154,8 +154,6 @@ class CalibrationStore:
             return list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"CalibrationStore({list(self)!r})"
 
@@ -193,8 +191,8 @@ class CalibrationStore:
         scores = np.sort(np.asarray(scores, dtype=float), kind="stable")
         # block i takes the scores from _mins[i - 1] (inclusive) up to _mins[i]
         cuts = [0, *scores.searchsorted(self._mins, side="left").tolist(), len(scores)]
-        blocks, grown = self._blocks, []
-        for i in np.flatnonzero(np.diff(cuts)).tolist():
+        blocks, grown = self._blocks, np.flatnonzero(np.diff(cuts)).tolist()
+        for i in grown:
             part, block = scores[cuts[i]:cuts[i + 1]], blocks[i]
             if len(part) < MERGE_FROM:  # in ascending order, as ``insert`` would
                 for score in part.tolist():
@@ -203,15 +201,11 @@ class CalibrationStore:
                 stored = np.frombuffer(block, dtype=float)
                 merged = np.insert(stored, stored.searchsorted(part, side="right"), part)
                 blocks[i] = array("d", merged.tobytes())
-            grown.append((i, len(part)))
-        over = [i for i, _ in grown if len(blocks[i]) > BLOCK_SIZE]
-        if over:
-            for i in reversed(over):
+        for i in reversed(grown):
+            if len(blocks[i]) > BLOCK_SIZE:
                 self._split(i)
+        if len(blocks) > 1:
             self._reindex()
-        elif self._mins:
-            for i, by in grown:
-                self._grow(i, by)
 
 
 def rank_fractions(stores, scores) -> list:

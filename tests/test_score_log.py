@@ -156,13 +156,23 @@ def run(policy, steps):
 
 
 def final_state(policy):
-    return (policy.log_w, policy.alphas, policy.grad_sq,
-            [as_stored(s.scores) for s in policy.calibrations])
+    """The policy's state, and each store's threshold at its model's level: a read
+    through the block index, which the scores alone do not check."""
+    stores = policy.calibrations
+    return (policy.log_w, policy.alphas, policy.grad_sq, [as_stored(s.scores) for s in stores],
+            [quantile_threshold(s, a) for s, a in zip(stores, policy.alphas)])
 
 
+# at 4096 every store stays one block; at 8 merges take the insort and numpy branches
+# into many blocks, split blocks after a merge and views read across blocks
+BLOCK_SIZES = [4096, 8]
+
+
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
 @pytest.mark.parametrize("track", [False, True])
 @pytest.mark.parametrize("name, n, j", [("gmocp", 3, 1), ("egmocp", 5, 4)])
-def test_deferred_policy_equals_eager_insertion(monkeypatch, name, n, j, track):
+def test_deferred_policy_equals_eager_insertion(monkeypatch, name, n, j, track, block_size):
+    monkeypatch.setattr(scoring, "BLOCK_SIZE", block_size)
     deferred = graph_policy(name, n, j, track)
     assert (deferred._log is None) == track  # tracked alpha_bar reads every store
     eager = eager_twin(monkeypatch, name, n, j, track)
@@ -170,7 +180,9 @@ def test_deferred_policy_equals_eager_insertion(monkeypatch, name, n, j, track):
     assert final_state(deferred) == final_state(eager)
 
 
-def test_outside_reads_see_every_score(monkeypatch):
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_outside_reads_see_every_score(monkeypatch, block_size):
+    monkeypatch.setattr(scoring, "BLOCK_SIZE", block_size)
     deferred = graph_policy("gmocp", 3, 1)
     eager = eager_twin(monkeypatch, "gmocp", 3, 1)
     assert deferred._log is not None

@@ -1,4 +1,5 @@
-"""The pure parts of the two-tree comparison, scripts/drift.py; no tree is run."""
+"""The two-tree comparison, scripts/drift.py, and the scaling runner, scripts/scaling.py:
+their pure parts, one case's digest loop and one child of the run protocol."""
 
 import argparse
 import dataclasses
@@ -9,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmocp.policies import StepRecord
+from gmocp.policies import POLICY_NAMES, StepRecord
 from gmocp.runner import parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
 def drift(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import drift
     return drift
 
@@ -94,3 +97,24 @@ def test_paired_cases_follow_seeds_and_horizon_and_the_rest_stay_fixed(drift):
     assert all(doc["stream"]["horizon"] == 6000 for doc, _ in paired)
     tracked = [doc for name, doc, *_ in cases if name.endswith("/track=1")]
     assert len(tracked) == 20 and all(doc["stream"]["horizon"] == 3000 for doc in tracked)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_a_case_digest_is_reproducible_and_sees_a_setting_move(drift, policy):
+    def digest(**params):
+        doc = {"policy": policy, "policy_params": params, "stream": {"horizon": 60}}
+        return drift.run_case(doc, 0, None)[0]
+
+    first = digest()
+    assert digest() == first
+    assert digest(target_alpha=0.1000001) != first
+
+
+def test_a_scaling_child_returns_one_point(drift):
+    import scaling  # on the path through the drift fixture
+
+    src = str(ROOT / "src")
+    [point] = scaling.run_trees(scaling.__file__, [src], src, "--one", "0", "--models", "8",
+                                "--steps", "50", "--labels", "20")
+    assert (point["policy"], point["M"], point["T"], point["K"]) == ("gmocp-N3J1", 8, 50, 20)
+    assert math.isfinite(point["step_us_p50"]) and point["step_us_p50"] <= point["step_us_p99"]
