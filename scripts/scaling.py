@@ -12,10 +12,11 @@ so two checkouts can be compared with one copy of this script. Each
 in its own fresh interpreter, over a stream of K labels, the default model mix
 repeated to M models and a gradual shift, and reports the lowest p50 and p99 of
 its runs, so one burst of host load cannot move it. The stream is consumed as
-it is generated, so only the policy's own state grows with T; only the
-``policy.step`` calls are timed. The script prints a table of per-step p50 and
-p99 in microseconds and the GMOCP/MOCP p50 ratio per (M, T, K), and then one
-JSON line with every figure, each point's runs included.
+it is generated, so only the policy's own state grows with T. The times are
+``run_seed``'s own per-step clock, each step record's ``wall_nanos``. The
+script prints a table of per-step p50 and p99 in microseconds and the
+GMOCP/MOCP p50 ratio per (M, T, K), and then one JSON line with every figure,
+each point's runs included.
 """
 
 import argparse
@@ -53,27 +54,18 @@ def run_trees(script: str, srcs, *args) -> list:
 
 
 def measure(policy: str, n, j, n_models: int, steps: int, n_labels: int) -> dict:
-    """Per-step times of one run, in this interpreter (gmocp must be importable)."""
-    from time import perf_counter_ns
-
+    """Per-step times of one ``run_seed``, in this interpreter (gmocp must be importable)."""
     import numpy as np
 
-    from gmocp.policies import make_policy
-    from gmocp.runner import DEFAULT_PROFILES, parse_config
-    from gmocp.streams import generate_stream
+    from gmocp.runner import DEFAULT_PROFILES, parse_config, run_seed
 
     profiles = [DEFAULT_PROFILES[m % len(DEFAULT_PROFILES)] for m in range(n_models)]
     doc = {"policy": policy, "policy_params": {} if n is None else {"N": n, "J": j},
            "stream": {"profiles": profiles, "schedule": "gradual", "horizon": steps,
                       "n_labels": n_labels}}
-    cfg = parse_config(doc)
-    pol = make_policy(cfg.policy, cfg.policy_params, SEED)
-    times = np.empty(steps)
-    for i, s in enumerate(generate_stream(cfg.stream, master_seed=SEED)):
-        start = perf_counter_ns()
-        pol.step(s.probs, s.true_label)
-        times[i] = perf_counter_ns() - start
-    p50, p99 = np.percentile(times / 1e3, [50, 99])
+    times = []
+    run_seed(parse_config(doc), SEED, on_step=lambda record: times.append(record.wall_nanos))
+    p50, p99 = np.percentile(np.array(times) / 1e3, [50, 99])
     return {"policy": label(policy, n, j), "M": n_models, "K": n_labels, "T": steps,
             "step_us_p50": float(p50), "step_us_p99": float(p99)}
 

@@ -14,17 +14,12 @@ def pinball_loss(alpha_bar: float, alpha: float, target_alpha: float) -> float:
     return target_alpha * diff - min(0.0, diff)
 
 
-def pinball_gradient(alpha_bar: float, alpha: float, target_alpha: float) -> float:
-    """Subgradient in alpha; the boundary alpha_bar == alpha counts as covered."""
-    err = 1.0 if alpha_bar < alpha else 0.0
-    return err - target_alpha
-
-
 def sfogd_update(alpha: float, grad_sq: float, alpha_bar: float, target_alpha: float,
                  eta: float) -> tuple:
     """One scale-free OGD step on the pinball loss; returns the new ``(alpha, grad_sq)``.
 
-    Its gradient is ``pinball_gradient``: a miss is ``alpha_bar < alpha``.
+    Its gradient in ``alpha`` is ``err - target_alpha``, with ``err`` 1 on a miss
+    (``alpha_bar < alpha``) and 0 on a cover; the boundary ``alpha_bar == alpha`` covers.
     """
     return sfogd_update_err(alpha, grad_sq, alpha_bar < alpha, target_alpha, eta)
 

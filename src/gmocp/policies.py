@@ -212,8 +212,6 @@ class _BasePolicy:
     subclass whose steps read only a subset of the stores may set ``_log``.
     """
 
-    name = "base"
-    loss_scale = 1.0
     reads_model_0_only = False  # ACI: a stream with any number of models will do
 
     def __init__(self, cfg: PolicyConfig, master_seed: int):

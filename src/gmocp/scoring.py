@@ -123,12 +123,12 @@ class CalibrationStore:
                 tree[parent - 1] += tree[i - 1]
         self._tree = tree
 
-    def _grow(self, i: int, by: int) -> None:
-        """Block i gained ``by`` scores (two or more blocks)."""
-        self._n += by
+    def _grow(self, i: int) -> None:
+        """Block i gained one score (two or more blocks)."""
+        self._n += 1
         tree, i = self._tree, i + 1
         while i <= len(tree):
-            tree[i - 1] += by
+            tree[i - 1] += 1
             i += i & -i
 
     def _split(self, i: int) -> None:
@@ -230,26 +230,13 @@ def insert_each(stores, scores) -> None:
             i = where(store._mins, score)
             block = store._blocks[i]
             put(block, score)
-            store._grow(i, 1)
+            store._grow(i)
         else:
             i, block = 0, store._blocks[0]
             put(block, score)
         if len(block) > limit:
             store._split(i)
             store._reindex()
-
-
-def validate_prob_vector(p: np.ndarray, n_labels: int, tol: float = 1e-6) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n_labels,):
-        raise ValueError(f"probability vector has length {p.shape}, expected ({n_labels},)")
-    if not np.isfinite(p).all():
-        raise ValueError("probability vector has non-finite entries")
-    if np.any(p < 0):
-        raise ValueError("probability vector has negative entries")
-    if abs(float(p.sum()) - 1.0) > tol:
-        raise ValueError(f"probability vector sums to {p.sum()}, not 1")
-    return p
 
 
 def nonconformity_score(p: np.ndarray, y: int, u: float, params: ScoreParams) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .rng import stream_rng
-from .scoring import SETTING_MAX, check_settings, validate_prob_vector
+from .scoring import SETTING_MAX, check_settings
 
 SCHEDULES = ("gradual", "sudden", "stationary")
 
@@ -184,8 +185,39 @@ def save_stream(steps, n_labels: int, path) -> None:
                 )
 
 
+def _rows(reader, n_labels: int):
+    """Yield ``(line, t, true_label, severity, model_id, probs)`` per row, each checked
+    alone and for a t that is the last row's or one past it."""
+    last = 1
+    for line, row in enumerate(reader, start=2):
+        if len(row) != 4 + n_labels:
+            raise StreamFormatError(f"line {line}: {len(row)} fields, expected {4 + n_labels}")
+        try:
+            t, y, sev, m = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+            p = np.array([float(x) for x in row[4:]], dtype=float)
+        except ValueError as exc:
+            raise StreamFormatError(f"line {line}: {exc}") from exc
+        if line == 2 and t != 1:
+            raise StreamFormatError(f"line 2: stream starts at t={t}, expected t=1")
+        if not 0 <= y < n_labels:
+            raise StreamFormatError(f"line {line}: true_label {y} outside [0, {n_labels})")
+        if not 0 <= sev <= MAX_SEVERITY:
+            raise StreamFormatError(f"line {line}: severity {sev} out of range")
+        if not np.isfinite(p).all():
+            raise StreamFormatError(f"line {line}: probability vector has non-finite entries")
+        if np.any(p < 0):
+            raise StreamFormatError(f"line {line}: probability vector has negative entries")
+        if abs(float(p.sum()) - 1.0) > 1e-4:
+            raise StreamFormatError(f"line {line}: probability vector sums to {p.sum()}, not 1")
+        if t not in (last, last + 1):
+            raise StreamFormatError(f"line {line}: t={t} after t={last}")
+        last = t
+        yield line, t, y, sev, m, p
+
+
 def load_stream(path):
-    """Yield StreamSteps from a stream CSV, validating schema and simplexes."""
+    """Yield StreamSteps from a stream CSV: ``_rows`` checks each row, and each step is
+    checked for one label and severity, model ids 0..M-1 and the first step's M."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -195,50 +227,20 @@ def load_stream(path):
         if n_labels < 1 or header[4:] != [f"p_{k}" for k in range(n_labels)]:
             raise StreamFormatError(f"bad probability columns in {path}")
 
-        pending = None  # (t, true_label, severity, [probs...])
         n_models = None
-
-        def finish(group):
-            nonlocal n_models
-            t, y, sev, probs = group
-            if n_models is None:
-                n_models = len(probs)
-            elif len(probs) != n_models:
-                raise StreamFormatError(
-                    f"t={t}: {len(probs)} model rows, expected {n_models}"
-                )
-            return StreamStep(t=t, true_label=y, probs=np.array(probs), severity=sev)
-
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4 + n_labels:
-                raise StreamFormatError(f"line {lineno}: {len(row)} fields, expected {4 + n_labels}")
-            try:
-                t, y, sev, m = (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-                p = np.array([float(x) for x in row[4:]], dtype=float)
-            except ValueError as exc:
-                raise StreamFormatError(f"line {lineno}: {exc}") from exc
-            if lineno == 2 and t != 1:
-                raise StreamFormatError(f"line 2: stream starts at t={t}, expected t=1")
-            if not 0 <= y < n_labels:
-                raise StreamFormatError(f"line {lineno}: true_label {y} outside [0, {n_labels})")
-            if not 0 <= sev <= MAX_SEVERITY:
-                raise StreamFormatError(f"line {lineno}: severity {sev} out of range")
-            try:
-                validate_prob_vector(p, n_labels, tol=1e-4)
-            except ValueError as exc:
-                raise StreamFormatError(f"line {lineno}: {exc}") from exc
-            if pending is not None and t != pending[0]:
-                if t != pending[0] + 1:
-                    raise StreamFormatError(f"line {lineno}: t={t} after t={pending[0]}")
-                yield finish(pending)
-                pending = None
-            if pending is None:
-                pending = (t, y, sev, [])
-            elif (y, sev) != (pending[1], pending[2]):
-                raise StreamFormatError(f"line {lineno}: inconsistent label/severity at t={t}")
-            if m != len(pending[3]):
-                raise StreamFormatError(f"line {lineno}: model_id {m}, expected {len(pending[3])}")
-            pending[3].append(p)
-        if pending is None:
+        for t, rows in groupby(_rows(reader, n_labels), key=lambda row: row[1]):
+            probs = []
+            for line, _, y, sev, m, p in rows:
+                if not probs:
+                    label = (y, sev)
+                elif (y, sev) != label:
+                    raise StreamFormatError(f"line {line}: inconsistent label/severity at t={t}")
+                if m != len(probs):
+                    raise StreamFormatError(f"line {line}: model_id {m}, expected {len(probs)}")
+                probs.append(p)
+            n_models = n_models or len(probs)
+            if len(probs) != n_models:
+                raise StreamFormatError(f"t={t}: {len(probs)} model rows, expected {n_models}")
+            yield StreamStep(t=t, true_label=label[0], probs=np.array(probs), severity=label[1])
+        if n_models is None:
             raise StreamFormatError(f"{path}: no steps after the header")
-        yield finish(pending)

@@ -20,7 +20,6 @@ from gmocp.scoring import (
     optimal_alpha_bar,
     prediction_set_size,
     quantile_threshold,
-    validate_prob_vector,
 )
 
 P3 = ScoreParams(xi=0.1, k_reg=1, n_labels=3)
@@ -52,18 +51,6 @@ def test_score_input_validation():
         nonconformity_score([0.7, 0.2, 0.1], 0, 1.5, P3)
     with pytest.raises(ValueError):
         nonconformity_score([0.7, 0.2, 0.1], -1, 0.5, P3)
-
-
-def test_validate_prob_vector():
-    validate_prob_vector(np.array([0.5, 0.5, 0.0]), 3)
-    with pytest.raises(ValueError):
-        validate_prob_vector(np.array([0.5, 0.5]), 3)
-    with pytest.raises(ValueError):
-        validate_prob_vector(np.array([0.6, 0.6, -0.2]), 3)
-    with pytest.raises(ValueError):
-        validate_prob_vector(np.array([0.4, 0.3, 0.1]), 3)
-    with pytest.raises(ValueError, match="non-finite"):
-        validate_prob_vector(np.array([np.nan, 0.5, 0.5]), 3)
 
 
 def test_score_params_validation():

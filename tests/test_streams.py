@@ -297,7 +297,29 @@ def test_load_rejects_stream_not_starting_at_one(tmp_path):
      "line 3: t=3 after t=1"),
     ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.5], [1, 1, 0, 1, 0.5, 0.5]],
      "line 3: inconsistent label/severity at t=1"),
-], ids=["columns", "no-columns", "severity", "gap", "label-changes"])
+    ("time,label,severity,model,p_0,p_1", [],
+     r"bad header in .*: \['time', 'label', 'severity', 'model', 'p_0', 'p_1'\]"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 1.0]], "line 2: 5 fields, expected 6"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, "x", 0.5]],
+     "line 2: could not convert string to float: 'x'"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 1.5, -0.5]],
+     "line 2: probability vector has negative entries"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.3]],
+     r"line 2: probability vector sums to 0\.8, not 1"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 1, 0.5, 0.5]],
+     "line 2: model_id 1, expected 0"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.5], [1, 0, 0, 1, 0.5, 0.5],
+                                                [2, 1, 0, 0, 0.5, 0.5], [3, 1, 0, 0, 0.5, 0.5]],
+     "t=2: 1 model rows, expected 2"),
+    # one mistyped t can break two rules; the row's own t is reported first
+    ("t,true_label,severity,model_id,p_0,p_1", [[1, 0, 0, 0, 0.5, 0.5], [1, 0, 0, 1, 0.5, 0.5],
+                                                [2, 1, 0, 0, 0.5, 0.5], [4, 1, 0, 1, 0.5, 0.5]],
+     "line 5: t=4 after t=2"),
+    ("t,true_label,severity,model_id,p_0,p_1", [[5, 2, 0, 0, 0.5, 0.5]],
+     "line 2: stream starts at t=5, expected t=1"),
+], ids=["columns", "no-columns", "severity", "gap", "label-changes", "header", "field-count",
+        "non-numeric", "negative", "sum", "model-id", "model-count", "gap-after-short-step",
+        "start-before-label"])
 def test_load_names_what_is_wrong(tmp_path, header, rows, message):
     path = tmp_path / "bad.csv"
     write_rows(path, header, rows)
