@@ -18,7 +18,6 @@ from .scoring import (
     PredictionSet,
     ScoreParams,
     build_prediction_set,
-    nonconformity_score,
     optimal_alpha_bar,
     quantile_threshold,
 )

@@ -26,13 +26,9 @@ from .scoring import ScoreParams
 from .streams import DEFAULT_PROFILES  # noqa: F401  (re-exported)
 from .streams import ModelProfile, StreamConfig, generate_stream, load_stream
 
-SUMMARY_METRICS = ("coverage", "avg_width", "single_width", "runtime", "width_under_k")
-
-RESULT_FIELDS = ("policy", "N", "J", "seed") + SUMMARY_METRICS + ("config_id",)
-
-
 @dataclass(frozen=True)
 class ResultRow:
+    """One seed's row of the results CSV: the fields, in order and by type, are its columns."""
     policy: str
     N: int
     J: int
@@ -47,6 +43,11 @@ class ResultRow:
     def as_list(self):
         """Values in ``RESULT_FIELDS`` order; csv writes floats by ``repr``."""
         return [getattr(self, name) for name in RESULT_FIELDS]
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
+SUMMARY_METRICS = tuple(f.name for f in fields(ResultRow) if f.type == "float")
+_CELL_TYPES = tuple({"str": str, "int": int, "float": float}[f.type] for f in fields(ResultRow))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -308,17 +309,28 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = False, timing: bool = F
 
 
 def read_rows(csv_path: str) -> list:
-    """Rows of a results CSV; a header other than ``RESULT_FIELDS`` is an error."""
+    """Rows of a results CSV, each cell read by its ``ResultRow`` field's type. A foreign
+    header, a last line without its newline (a run stopped mid-row), a row of another
+    width or a cell its type cannot read is a ``ValueError`` naming the file and line."""
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != RESULT_FIELDS:
-            raise ValueError(
-                f"{csv_path}: header {reader.fieldnames} is not {list(RESULT_FIELDS)}; "
-                "a results file from another version cannot be read or resumed"
-            )
-        return [ResultRow(r["policy"], int(r["N"]), int(r["J"]), int(r["seed"]),
-                          *(float(r[name]) for name in SUMMARY_METRICS), r["config_id"])
-                for r in reader]
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    if tuple(header) != RESULT_FIELDS:
+        raise ValueError(f"{csv_path}: line 1: header {header} is not {list(RESULT_FIELDS)}; "
+                         "a results file from another version cannot be read or resumed")
+    if not lines[-1].endswith("\n"):
+        raise ValueError(f"{csv_path}: line {len(lines)} ends without its newline; "
+                         "the run that wrote it stopped mid-row")
+    rows = []
+    for cells in reader:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells where the header has {len(header)}")
+            rows.append(ResultRow(*(read(cell) for read, cell in zip(_CELL_TYPES, cells))))
+        except ValueError as exc:
+            raise ValueError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def write_summary(path: str, grouped: dict) -> None:

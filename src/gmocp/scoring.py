@@ -76,9 +76,6 @@ class PredictionSet:
     def size(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: int) -> bool:
-        return label in self.labels
-
 
 BLOCK_SIZE = 4096  # a store's block splits in two when it passes this many scores
 # scores into one block from which one numpy merge beats an insort each: insort is
@@ -239,15 +236,6 @@ def insert_each(stores, scores) -> None:
             store._reindex()
 
 
-def nonconformity_score(p: np.ndarray, y: int, u: float, params: ScoreParams) -> float:
-    """Score of candidate label y given model probabilities p and tie-break u."""
-    if not 0 <= y < params.n_labels:
-        raise ValueError(f"label {y} out of range [0, {params.n_labels})")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must be in [0, 1], got {u}")
-    return float(all_label_scores(p, u, params)[y])
-
-
 def _scores(p, u, k, total, below, params: ScoreParams) -> np.ndarray:
     """The one score arithmetic, ``rank_penalty[k] + u * p + (total - below)``: p has
     rank k = count(>= p) in its row, and total and below are the running sums of the
@@ -270,7 +258,7 @@ def _sorted_scores(asc: np.ndarray, u: np.ndarray, params: ScoreParams) -> np.nd
 
 
 def all_label_scores(p: np.ndarray, u, params: ScoreParams, asc=None) -> np.ndarray:
-    """Vectorized nonconformity_score over every candidate label, in label order: ``p``
+    """The nonconformity score of every candidate label, in label order: ``p``
     is one row (K,) with a scalar ``u``, or S rows (S, K) with one tie-break each in
     ``u`` (S,), and every shape goes through the one (S, K) kernel. K is at most
     ``params.n_labels``; ``asc``, if the caller has it, is ``np.sort(p)``."""
@@ -285,7 +273,7 @@ def all_label_scores(p: np.ndarray, u, params: ScoreParams, asc=None) -> np.ndar
 
 def all_model_scores(probs: np.ndarray, y: int, u_vec: np.ndarray, params: ScoreParams,
                      asc=None) -> np.ndarray:
-    """nonconformity_score of the true label under every model at once: probs is
+    """The nonconformity score of label y under every model at once: probs is
     (M, K), ``asc`` its ``np.sort`` if the caller has it, u_vec (M,)."""
     probs = np.asarray(probs, dtype=float)
     asc = np.sort(probs) if asc is None else asc

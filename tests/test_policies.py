@@ -24,7 +24,6 @@ from gmocp.scoring import (
     ScoreParams,
     all_label_scores,
     build_prediction_set,
-    nonconformity_score,
     optimal_alpha_bar,
     quantile_threshold,
 )
@@ -104,8 +103,8 @@ def test_gmocp_reduces_to_single_model_loop():
             r.random()  # graph/node/model draws are consumed but forced
         thr = quantile_threshold(store, alpha)
         pred = build_prediction_set(s.probs[0], thr, u, params)
-        err = int(s.true_label not in pred)
-        score = nonconformity_score(s.probs[0], s.true_label, u, params)
+        err = int(s.true_label not in pred.labels)
+        score = all_label_scores(s.probs[0], u, params)[s.true_label]
         ab = optimal_alpha_bar(store, score)
         alpha, grad_sq = sfogd_update(alpha, grad_sq, ab, 0.1, 0.05)
         store.insert(score)
@@ -318,7 +317,7 @@ def test_mocp_single_model_matches_hand_loop():
         rng_model.random()  # selection draw consumed even with one model
         thr = quantile_threshold(store, alpha)
         pred = build_prediction_set(s.probs[0], thr, u, cfg.score)
-        score = nonconformity_score(s.probs[0], s.true_label, u, cfg.score)
+        score = all_label_scores(s.probs[0], u, cfg.score)[s.true_label]
         ab = optimal_alpha_bar(store, score)
         alpha, grad_sq = sfogd_update(alpha, grad_sq, ab, 0.1, 0.05)
         store.insert(score)
@@ -326,7 +325,7 @@ def test_mocp_single_model_matches_hand_loop():
         _, rec = policy.step(s.probs, s.true_label)
         assert rec.chosen_model == 0
         assert rec.set_size == pred.size
-        assert rec.err == int(s.true_label not in pred)
+        assert rec.err == int(s.true_label not in pred.labels)
     assert policy.alphas[0] == pytest.approx(alpha, rel=1e-12)
 
 

@@ -567,15 +567,37 @@ def test_resume_keys_rows_by_the_bytes_of_a_stream_file(tmp_path):
     assert second.config_id() == rerun[0].config_id
 
 
-def test_resume_rejects_results_without_config_id(tmp_path):
-    cfg = parse_config(tiny_doc(), base_dir=str(tmp_path))
+RESULTS_HEADER = ",".join(RESULT_FIELDS) + "\n"
+RESULTS_ROW = "gmocp,2,1,0,90.0,1.5,50.0,0.0,90.0,gmocp-N2-J1-0123abcd\n"
+# a damaged results file, and the line its error names
+DAMAGED_RESULTS = {
+    "without-config-id": ("policy,N,J,seed,coverage,avg_width,single_width,runtime,width_under_k\n"
+                          "gmocp,2,1,1,90.0,1.5,50.0,0.0,90.0\n", 1),
+    "short-row": (RESULTS_HEADER + "gmocp,2,1,0,90.0,1.5\n", 2),
+    "long-row": (RESULTS_HEADER + RESULTS_ROW + RESULTS_ROW[:-1] + ",7\n", 3),
+    "unreadable-value": (RESULTS_HEADER + RESULTS_ROW.replace("90.0", "x", 1), 2),
+    "cut-short": (RESULTS_HEADER + RESULTS_ROW + RESULTS_ROW[:-6], 3),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_RESULTS)
+def test_resume_rejects_a_damaged_results_file(tmp_path, damage):
+    """A foreign header, a row of another width, an unreadable value or a last row cut
+    short is one error that names the file and line, and leaves the file as it was."""
+    text, line = DAMAGED_RESULTS[damage]
     csv_path = tmp_path / "results.csv"
-    old = ("policy,N,J,seed,coverage,avg_width,single_width,runtime,width_under_k\n"
-           "gmocp,2,1,1,90.0,1.5,50.0,0.0,90.0\n")
-    csv_path.write_text(old)
-    with pytest.raises(ValueError, match="results.csv"):
-        run_experiment(cfg, resume=True)
-    assert csv_path.read_text() == old
+    csv_path.write_text(text)
+    with pytest.raises(ValueError, match=rf"results\.csv: line {line}\b"):
+        run_experiment(parse_config(tiny_doc(), base_dir=str(tmp_path)), resume=True)
+    assert csv_path.read_bytes() == text.encode()
+
+
+def test_cli_resume_onto_a_cut_short_results_file_exits_2_in_one_line(tmp_path, capsys):
+    text, line = DAMAGED_RESULTS["cut-short"]
+    (tmp_path / "results.csv").write_text(text)
+    err = cli_error(capsys, "run", "--config", str(write_config(tmp_path, tiny_doc())), "--resume")
+    assert f"results.csv: line {line} ends without its newline" in err
+    assert (tmp_path / "results.csv").read_text() == text
 
 
 def test_resume_onto_an_empty_results_file_runs_every_seed(tmp_path, capsys):

@@ -16,7 +16,6 @@ from gmocp.scoring import (
     all_label_scores,
     all_model_scores,
     build_prediction_set,
-    nonconformity_score,
     optimal_alpha_bar,
     prediction_set_size,
     quantile_threshold,
@@ -32,25 +31,16 @@ def make_store(scores):
 # ------------------------------------------------------------ score values
 
 def test_score_top_label():
-    assert nonconformity_score([0.7, 0.2, 0.1], 0, 0.5, P3) == pytest.approx(0.35)
+    assert all_label_scores([0.7, 0.2, 0.1], 0.5, P3)[0] == pytest.approx(0.35)
 
 
 def test_score_second_label():
-    assert nonconformity_score([0.7, 0.2, 0.1], 1, 0.0, P3) == pytest.approx(0.8)
+    assert all_label_scores([0.7, 0.2, 0.1], 0.0, P3)[1] == pytest.approx(0.8)
 
 
 def test_score_all_ties_zero():
     params = ScoreParams(xi=0.02, k_reg=5, n_labels=4)
-    assert nonconformity_score([0.25] * 4, 2, 0.0, params) == 0.0
-
-
-def test_score_input_validation():
-    with pytest.raises(ValueError):
-        nonconformity_score([0.7, 0.2, 0.1], 3, 0.5, P3)
-    with pytest.raises(ValueError):
-        nonconformity_score([0.7, 0.2, 0.1], 0, 1.5, P3)
-    with pytest.raises(ValueError):
-        nonconformity_score([0.7, 0.2, 0.1], -1, 0.5, P3)
+    assert all_label_scores([0.25] * 4, 0.0, params)[2] == 0.0
 
 
 def test_score_params_validation():
@@ -85,9 +75,8 @@ def tied_rows(rng, n_rows, n_labels):
 @settings(max_examples=200, deadline=None)
 def test_vectorized_scores_match_scalar(p, u):
     params = ScoreParams(xi=0.1, k_reg=1, n_labels=len(p))
-    fast = all_label_scores(p, u, params)
-    for y in range(len(p)):
-        assert fast[y] == nonconformity_score(p, y, u, params)
+    reference = unsorted_search_scores(p, u, params)
+    assert all_label_scores(p, u, params).tobytes() == reference.tobytes()
 
 
 def unsorted_search_scores(p, u, params):
@@ -147,7 +136,7 @@ def test_all_model_scores_matches_scalar():
         for y in range(6):
             fast = all_model_scores(probs, y, u_vec, params)
             for m in range(4):
-                assert fast[m] == nonconformity_score(probs[m], y, u_vec[m], params)
+                assert fast[m] == all_label_scores(probs[m], u_vec[m], params)[y]
 
 
 @pytest.mark.parametrize("n_labels", [2, 10, 1000])
@@ -184,7 +173,7 @@ def test_score_nondecreasing_down_the_ranking():
     for i in range(100):
         p = tied_rows(rng, 1, 8)[0] if i % 2 else rng.dirichlet(np.ones(8))
         order = np.argsort(-p, kind="stable")
-        scores = [nonconformity_score(p, int(y), 0.5, params) for y in order]
+        scores = all_label_scores(p, 0.5, params)[order].tolist()
         assert all(a <= b for a, b in zip(scores, scores[1:]))
 
 
@@ -255,7 +244,7 @@ def test_set_hand_enumerated():
     # label scores are [0, 0.8, 1 + 0.1] so only label 0 clears 0.5
     pred = build_prediction_set([0.7, 0.2, 0.1], 0.5, 0.0, P3)
     assert pred.labels == frozenset({0})
-    assert 0 in pred and 1 not in pred
+    assert 0 in pred.labels and 1 not in pred.labels
 
 
 def test_set_size_matches_set():
