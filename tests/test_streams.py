@@ -208,6 +208,14 @@ def write_rows(path, header, rows):
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
+def test_load_rejects_bad_simplex(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, 0, 0, 0, 0.5, 0.3]])
+    with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_load_rejects_non_finite_probabilities(tmp_path, bad):
     # nan < 0 and a sum of nan both compare false, so a nan passed the simplex check
@@ -216,6 +224,48 @@ def test_load_rejects_non_finite_probabilities(tmp_path, bad):
                [[1, 0, 0, 0, 0.2, 0.3, 0.5],
                 [1, 0, 0, 1, bad, 0.5, 0.5]])
     with pytest.raises(StreamFormatError, match="line 3: .*non-finite"):
+        list(load_stream(path))
+
+
+def test_load_rejects_missing_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, 0, 0, 0, 1.0]])
+    with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
+def test_load_rejects_bad_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "time,label,severity,model,p_0,p_1", [])
+    with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
+def test_load_rejects_model_count_mismatch(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, 0, 0, 0, 0.5, 0.5],
+                [1, 0, 0, 1, 0.5, 0.5],
+                [2, 1, 0, 0, 0.5, 0.5],
+                [3, 1, 0, 0, 0.5, 0.5]])
+    with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
+def test_load_rejects_bad_model_id_order(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, 0, 0, 1, 0.5, 0.5]])
+    with pytest.raises(StreamFormatError):
+        list(load_stream(path))
+
+
+def test_load_rejects_non_numeric(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_rows(path, "t,true_label,severity,model_id,p_0,p_1",
+               [[1, 0, 0, 0, "x", 0.5]])
+    with pytest.raises(StreamFormatError):
         list(load_stream(path))
 
 
